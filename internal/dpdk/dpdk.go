@@ -374,10 +374,13 @@ func (pt *Port) SpareCount() int { return len(pt.spare) }
 
 // SetupRX fills the receive ring with buffers: from the mempool under
 // stock bindings, from the application's provided buffers under exchange
-// bindings. It charges nothing (initialization phase).
+// bindings. It posts until the device refuses (ErrOverPosted) and returns
+// the refused buffer where it came from: frames that arrived before setup
+// hold ring slots on some devices and posted buffers on others. It
+// charges nothing (initialization phase).
 func (pt *Port) SetupRX() error {
 	rxq := pt.Dev
-	want := rxq.RXRingSize() - rxq.PostedCount() - rxq.PendingCount()
+	want := rxq.RXRingSize() - rxq.PostedCount()
 	for i := 0; i < want; i++ {
 		var b *pktbuf.Packet
 		if pt.Bind.ExchangesBuffers() {
@@ -391,7 +394,17 @@ func (pt *Port) SetupRX() error {
 				return fmt.Errorf("dpdk: port %d: mempool too small for RX ring", pt.ID)
 			}
 		}
-		if err := rxq.Post(b); err != nil {
+		err := rxq.Post(b)
+		if errors.Is(err, nic.ErrOverPosted) {
+			if pt.Bind.ExchangesBuffers() {
+				pt.spare = append(pt.spare, b)
+			} else {
+				pt.Pool.free = append(pt.Pool.free, b)
+				delete(pt.Pool.out, b)
+			}
+			return nil
+		}
+		if err != nil {
 			return fmt.Errorf("dpdk: port %d: %w", pt.ID, err)
 		}
 	}

@@ -102,7 +102,7 @@ func buildFusedIPPath(name string, decls []*click.ElementDecl) *click.ElementDec
 		return nil
 	}
 	for _, a := range rt.Args {
-		if _, _, _, err := parseRouteArg(a); err != nil {
+		if _, err := parseRouteArg(a); err != nil {
 			return nil
 		}
 		args = append(args, "ROUTE "+a)
@@ -200,8 +200,7 @@ func (e *FusedIPPath) Class() string { return "FusedIPPath" }
 // ROUTE prefix/len [gw] port, ..., [TTL 1,] [SHARES name:w ...].
 func (e *FusedIPPath) Configure(args []string, bc *click.BuildCtx) error {
 	e.InitBase(bc)
-	e.table = lpm.New(bc.Huge)
-	routes := 0
+	var routes []lpm.Route
 	for _, a := range args {
 		fields := strings.Fields(a)
 		if len(fields) == 0 {
@@ -223,17 +222,12 @@ func (e *FusedIPPath) Configure(args []string, bc *click.BuildCtx) error {
 		case "TTL":
 			e.HasTTL = true
 		case "ROUTE":
-			prefix, length, nh, err := parseRouteArg(strings.Join(fields[1:], " "))
+			r, err := parseRouteArg(strings.Join(fields[1:], " "))
 			if err != nil {
 				return err
 			}
-			if err := e.table.AddRoute(prefix.Uint32(), length, nh); err != nil {
-				return err
-			}
-			if nh.Port+1 > e.nports {
-				e.nports = nh.Port + 1
-			}
-			routes++
+			routes = append(routes, r)
+			e.nports = max(e.nports, r.NextHop.Port+1)
 		case "SHARES":
 			parts, err := parseShares(fields[1:])
 			if err != nil {
@@ -244,8 +238,12 @@ func (e *FusedIPPath) Configure(args []string, bc *click.BuildCtx) error {
 			return fmt.Errorf("FusedIPPath: bad argument %q", a)
 		}
 	}
-	if routes == 0 {
+	if len(routes) == 0 {
 		return fmt.Errorf("FusedIPPath: no routes")
+	}
+	var err error
+	if e.table, err = lpm.Build(bc.Huge, routes); err != nil {
+		return err
 	}
 	// One state block for the whole fused unit — the chain's separate
 	// element states collapse into one placement.

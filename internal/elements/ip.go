@@ -249,39 +249,33 @@ func (e *LookupIPRoute) BatchAware() bool { return false }
 
 // parseRouteArg parses one route argument — "prefix/len port" or
 // "prefix/len gateway port" — shared with the fused IP path element.
-func parseRouteArg(a string) (prefix netpkt.IPv4, length int, nh lpm.NextHop, err error) {
+func parseRouteArg(a string) (r lpm.Route, err error) {
 	fields := strings.Fields(a)
 	if len(fields) < 2 || len(fields) > 3 {
-		return prefix, 0, nh, fmt.Errorf("LookupIPRoute: bad route %q", a)
+		return r, fmt.Errorf("LookupIPRoute: bad route %q", a)
 	}
-	length = 32
+	r.Length = 32
 	addr := fields[0]
 	if i := strings.IndexByte(addr, '/'); i >= 0 {
-		var n int
-		if n, err = click.ParseInt(addr[i+1:]); err != nil {
-			return prefix, 0, nh, err
+		if r.Length, err = click.ParseInt(addr[i+1:]); err != nil {
+			return r, err
 		}
-		length = n
 		addr = addr[:i]
 	}
-	if prefix, err = netpkt.ParseIPv4(addr); err != nil {
-		return prefix, 0, nh, err
+	prefix, err := netpkt.ParseIPv4(addr)
+	if err != nil {
+		return r, err
 	}
+	r.Prefix = prefix.Uint32()
 	if len(fields) == 3 {
-		var gw netpkt.IPv4
-		if gw, err = netpkt.ParseIPv4(fields[1]); err != nil {
-			return prefix, 0, nh, err
+		gw, err := netpkt.ParseIPv4(fields[1])
+		if err != nil {
+			return r, err
 		}
-		nh.Gateway = gw.Uint32()
-		if nh.Port, err = click.ParseInt(fields[2]); err != nil {
-			return prefix, 0, nh, err
-		}
-	} else {
-		if nh.Port, err = click.ParseInt(fields[1]); err != nil {
-			return prefix, 0, nh, err
-		}
+		r.NextHop.Gateway = gw.Uint32()
 	}
-	return prefix, length, nh, nil
+	r.NextHop.Port, err = click.ParseInt(fields[len(fields)-1])
+	return r, err
 }
 
 // Configure implements click.Element. Each arg: "prefix/len port" or
@@ -291,18 +285,18 @@ func (e *LookupIPRoute) Configure(args []string, bc *click.BuildCtx) error {
 	if len(args) == 0 {
 		return fmt.Errorf("LookupIPRoute: no routes")
 	}
-	e.table = lpm.New(bc.Huge)
-	for _, a := range args {
-		prefix, length, nh, err := parseRouteArg(a)
+	routes := make([]lpm.Route, len(args))
+	for i, a := range args {
+		r, err := parseRouteArg(a)
 		if err != nil {
 			return err
 		}
-		if err := e.table.AddRoute(prefix.Uint32(), length, nh); err != nil {
-			return err
-		}
-		if nh.Port+1 > e.nports {
-			e.nports = nh.Port + 1
-		}
+		routes[i] = r
+		e.nports = max(e.nports, r.NextHop.Port+1)
+	}
+	var err error
+	if e.table, err = lpm.Build(bc.Huge, routes); err != nil {
+		return err
 	}
 	bc.AllocState(64, 1)
 	e.outs = make([]pktbuf.Batch, e.nports)

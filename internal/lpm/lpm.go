@@ -1,40 +1,51 @@
-// Package lpm implements longest-prefix-match IPv4 route lookup with a
-// DIR-24-8 table (the classic two-level scheme DPDK's rte_lpm uses): one
-// 2^24-entry first level indexed by the top 24 address bits, and overflow
-// groups of 256 entries for prefixes longer than /24. Lookups are one
-// memory access for the common case and two for long prefixes, which is
-// also what we charge in the simulator via the table's simulated address.
+// Package lpm implements longest-prefix-match IPv4 route lookup, modeled
+// as a DIR-24-8 table (the classic two-level scheme DPDK's rte_lpm uses):
+// one 2^24-entry first level indexed by the top 24 address bits, and
+// overflow groups of 256 entries for prefixes longer than /24. Lookups
+// charge the simulator exactly those reads at the table's simulated
+// address: one for the common case, two under a slot that owns a group.
+//
+// The host does not hold the 2^24 slots. Build reduces the route set to
+// its disjoint elementary address intervals, each mapped to the winning
+// next hop, plus the sorted tbl24 slots that own a tbl8 group, so host
+// memory and build time scale with the route set, not the address space.
 package lpm
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"packetmill/internal/machine"
 	"packetmill/internal/memsim"
 )
 
-// entry encoding: bit 15 = valid, bit 14 = indirect (points into tbl8),
-// low 14 bits = next-hop index or tbl8 group number.
-const (
-	flagValid    = 1 << 15
-	flagIndirect = 1 << 14
-	valueMask    = 0x3fff
-)
+// maxIndex bounds next-hop indexes and tbl8 group numbers: a DIR-24-8
+// entry keeps either in 14 bits.
+const maxIndex = 0x3fff
 
-// Table is a DIR-24-8 LPM table. Create with New; not safe for concurrent
-// mutation (the router installs routes at configuration time).
+// Route is one prefix/length -> next-hop entry.
+type Route struct {
+	Prefix  uint32
+	Length  int
+	NextHop NextHop
+}
+
+// Table is an immutable LPM table. Create with Build.
 type Table struct {
-	tbl24 []uint16 // 2^24 entries
-	tbl8  []uint16 // groups of 256
-	// depth24 tracks the prefix length that wrote each tbl24 slot so a
-	// shorter prefix never overwrites a longer one.
-	depth24 []uint8
-	depth8  []uint8
-	// nextHops registry.
+	// starts[i] is the first address of elementary interval i, which
+	// runs up to starts[i+1]-1 (the last one to 2^32-1); starts[0] == 0.
+	starts []uint32
+	// hops[i] indexes nextHops for interval i; -1 means no route.
+	hops     []int32
 	nextHops []NextHop
+	// slots lists, ascending, the tbl24 slots that own a tbl8 group;
+	// groups[i] is slots[i]'s group number.
+	slots  []uint32
+	groups []uint32
 	// base is the table's simulated address; lookups charge reads here.
-	base   memsim.Addr
-	routes int
+	base memsim.Addr
 }
 
 // NextHop is the routing decision payload.
@@ -43,140 +54,115 @@ type NextHop struct {
 	Gateway uint32 // next-hop IP (0 = directly connected)
 }
 
-// New allocates the table's first level in the given arena (the second
-// level grows on demand). The 64-MiB tbl24 region is charged at lookup
-// time like the real rte_lpm.
-func New(arena *memsim.Arena) *Table {
-	return &Table{
-		tbl24:   make([]uint16, 1<<24),
-		depth24: make([]uint8, 1<<24),
-		base:    arena.Alloc((1<<24)*2, memsim.PageSize),
+// Build allocates the table's simulated 32-MiB tbl24 region in arena (the
+// tbl8 groups follow it) and installs routes. The longest matching prefix
+// wins; between two equal prefixes the later route wins. Groups are
+// numbered like rte_lpm allocates them: in order of the first /25../32
+// route under each tbl24 slot.
+func Build(arena *memsim.Arena, routes []Route) (*Table, error) {
+	t := &Table{base: arena.Alloc((1<<24)*2, memsim.PageSize)}
+	group := map[uint32]uint32{}
+	bounds := []uint32{0}
+	for i, r := range routes {
+		if r.Length < 0 || r.Length > 32 {
+			return nil, fmt.Errorf("lpm: bad prefix length %d", r.Length)
+		}
+		if i >= maxIndex {
+			return nil, fmt.Errorf("lpm: next-hop table full")
+		}
+		t.nextHops = append(t.nextHops, r.NextHop)
+		lo, hi := span(r)
+		if _, ok := group[lo>>8]; r.Length > 24 && !ok {
+			if len(group) > maxIndex {
+				return nil, fmt.Errorf("lpm: tbl8 space exhausted")
+			}
+			group[lo>>8] = uint32(len(group))
+			t.slots = append(t.slots, lo>>8)
+		}
+		bounds = append(bounds, lo)
+		if hi != math.MaxUint32 {
+			bounds = append(bounds, hi+1)
+		}
 	}
+	slices.Sort(bounds)
+	t.starts = slices.Compact(bounds)
+	slices.Sort(t.slots)
+	for _, s := range t.slots {
+		t.groups = append(t.groups, group[s])
+	}
+	t.hops = make([]int32, len(t.starts))
+	for i := range t.hops {
+		t.hops[i] = -1
+	}
+	// Paint shortest prefixes first, equal lengths in route order, so the
+	// longest prefix ends on top and the later of two equal routes wins.
+	order := make([]int, len(routes))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(routes[a].Length, routes[b].Length) })
+	for _, i := range order {
+		lo, hi := span(routes[i])
+		for j := count(t.starts, lo) - 1; j < len(t.starts) && t.starts[j] <= hi; j++ {
+			t.hops[j] = int32(i)
+		}
+	}
+	return t, nil
 }
 
-// AddRoute installs prefix/length -> nh. Routes may be added in any order;
-// longer prefixes always win.
-func (t *Table) AddRoute(prefix uint32, length int, nh NextHop) error {
-	if length < 0 || length > 32 {
-		return fmt.Errorf("lpm: bad prefix length %d", length)
+// span returns the first and last address r's prefix covers.
+func span(r Route) (lo, hi uint32) {
+	mask := uint32(0)
+	if r.Length > 0 {
+		mask = ^uint32(0) << (32 - r.Length)
 	}
-	if len(t.nextHops) >= valueMask {
-		return fmt.Errorf("lpm: next-hop table full")
-	}
-	nhIdx := uint16(len(t.nextHops))
-	t.nextHops = append(t.nextHops, nh)
-	prefix &= maskOf(length)
-
-	if length <= 24 {
-		start := prefix >> 8
-		count := uint32(1) << (24 - length)
-		for i := start; i < start+count; i++ {
-			e := t.tbl24[i]
-			if e&flagValid != 0 && e&flagIndirect != 0 {
-				// Push into the existing tbl8 group where depth allows.
-				grp := uint32(e & valueMask)
-				for j := uint32(0); j < 256; j++ {
-					k := grp*256 + j
-					if t.depth8[k] <= uint8(length) {
-						t.tbl8[k] = flagValid | nhIdx
-						t.depth8[k] = uint8(length)
-					}
-				}
-				continue
-			}
-			if t.depth24[i] <= uint8(length) {
-				t.tbl24[i] = flagValid | nhIdx
-				t.depth24[i] = uint8(length)
-			}
-		}
-		t.routes++
-		return nil
-	}
-
-	// /25../32: need a tbl8 group under one tbl24 slot.
-	slot := prefix >> 8
-	e := t.tbl24[slot]
-	var grp uint32
-	if e&flagValid != 0 && e&flagIndirect != 0 {
-		grp = uint32(e & valueMask)
-	} else {
-		// Allocate a fresh group, seeding it with the current /<=24
-		// decision so shorter prefixes keep matching.
-		grp = uint32(len(t.tbl8) / 256)
-		if grp > valueMask {
-			return fmt.Errorf("lpm: tbl8 space exhausted")
-		}
-		seed, seedDepth := uint16(0), uint8(0)
-		if e&flagValid != 0 {
-			seed, seedDepth = e, t.depth24[slot]
-		}
-		for j := 0; j < 256; j++ {
-			t.tbl8 = append(t.tbl8, seed)
-			t.depth8 = append(t.depth8, seedDepth)
-		}
-		t.tbl24[slot] = flagValid | flagIndirect | uint16(grp)
-		// depth24 keeps the depth of the *shorter* route that seeded
-		// the group; the slot itself is now structural.
-	}
-	start := prefix & 0xff
-	count := uint32(1) << (32 - length)
-	for j := start; j < start+count; j++ {
-		k := grp*256 + j
-		if t.depth8[k] <= uint8(length) {
-			t.tbl8[k] = flagValid | nhIdx
-			t.depth8[k] = uint8(length)
-		}
-	}
-	t.routes++
-	return nil
+	return r.Prefix & mask, r.Prefix | ^mask
 }
 
-func maskOf(length int) uint32 {
-	if length == 0 {
-		return 0
+// count returns how many entries of the ascending s are <= x.
+func count(s []uint32, x uint32) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s[m] <= x {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	return ^uint32(0) << (32 - length)
+	return lo
+}
+
+// group returns the tbl8 group tbl24 slot owns, if any.
+func (t *Table) group(slot uint32) (uint32, bool) {
+	if i := count(t.slots, slot); i > 0 && t.slots[i-1] == slot {
+		return t.groups[i-1], true
+	}
+	return 0, false
 }
 
 // Routes returns the number of installed routes.
-func (t *Table) Routes() int { return t.routes }
+func (t *Table) Routes() int { return len(t.nextHops) }
 
-// Lookup resolves addr, charging the table reads to core (one 2-byte read
-// in tbl24, plus one in tbl8 for long prefixes). ok is false when no route
-// matches.
+// Lookup resolves addr, charging the DIR-24-8 reads to core (one 2-byte
+// read in tbl24, plus one in tbl8 under a slot that owns a group). ok is
+// false when no route matches.
 func (t *Table) Lookup(core *machine.Core, addr uint32) (NextHop, bool) {
-	i := addr >> 8
-	core.Load(t.base+memsim.Addr(i*2), 2)
-	e := t.tbl24[i]
-	if e&flagValid == 0 {
-		return NextHop{}, false
-	}
-	if e&flagIndirect != 0 {
-		grp := uint32(e & valueMask)
-		k := grp*256 + addr&0xff
+	slot := addr >> 8
+	core.Load(t.base+memsim.Addr(slot*2), 2)
+	if grp, ok := t.group(slot); ok {
 		// tbl8 lives after tbl24 in our simulated address space.
-		core.Load(t.base+memsim.Addr((1<<24)*2+k*2), 2)
-		e = t.tbl8[k]
-		if e&flagValid == 0 {
-			return NextHop{}, false
-		}
+		core.Load(t.base+memsim.Addr((1<<24)*2+(grp*256+addr&0xff)*2), 2)
 	}
-	return t.nextHops[e&valueMask], true
+	return t.LookupNoCharge(addr)
 }
 
 // LookupNoCharge resolves addr without touching the simulator — for tests
 // and control-plane use.
 func (t *Table) LookupNoCharge(addr uint32) (NextHop, bool) {
-	i := addr >> 8
-	e := t.tbl24[i]
-	if e&flagValid == 0 {
+	h := t.hops[count(t.starts, addr)-1]
+	if h < 0 {
 		return NextHop{}, false
 	}
-	if e&flagIndirect != 0 {
-		e = t.tbl8[uint32(e&valueMask)*256+addr&0xff]
-		if e&flagValid == 0 {
-			return NextHop{}, false
-		}
-	}
-	return t.nextHops[e&valueMask], true
+	return t.nextHops[h], true
 }

@@ -1141,7 +1141,12 @@ func (dr *driver) run() (*Result, error) {
 	if watchdogNS == 0 {
 		watchdogNS = 50e6 // 50 simulated ms
 	}
-	var lastProgressNS float64
+	// Progress is measured from the earliest core clock at entry, not
+	// from 0, so a later Drive on a reused DUT gets the full budget.
+	lastProgressNS := math.Inf(1)
+	for _, c := range d.Cores {
+		lastProgressNS = min(lastProgressNS, c.NowNS())
+	}
 	var lastOffered, lastDeparted uint64
 	restarted := false // one drain-and-restart per stall window
 

@@ -270,3 +270,56 @@ func TestReplayedTraceThroughDUT(t *testing.T) {
 		t.Fatal("replayed trace produced no throughput")
 	}
 }
+
+// delayedSource shifts every arrival of a source by startNS.
+type delayedSource struct {
+	trafficgen.Source
+	startNS float64
+}
+
+func (s delayedSource) Next() ([]byte, float64, bool) {
+	f, ns, ok := s.Source.Next()
+	return f, ns + s.startNS, ok
+}
+
+// TestDriveReusedDUTPastWatchdogBudget drives one DUT twice. The first
+// Drive carries the core clock past the stall watchdog's budget; the
+// second offers traffic that starts a little after that clock. Its first
+// step sees no frame, which must not count as a stall since time 0.
+func TestDriveReusedDUTPastWatchdogBudget(t *testing.T) {
+	const budgetNS = 100e3
+	d, err := NewDUT(Options{
+		FreqGHz: 2.3, Model: click.XChange, FixedSize: 64, RateGbps: 10,
+		Packets: 3000, WatchdogNS: budgetNS,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := click.Parse(nf.Mirror(0, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	routers, err := d.BuildRouters(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := []Engine{&clickEngine{rt: routers[0], core: d.Cores[0]}}
+	res, err := d.Drive(engines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := d.Cores[0].NowNS()
+	if start <= budgetNS {
+		t.Fatalf("first Drive ended at %.0f ns, inside the %.0f-ns budget", start, budgetNS)
+	}
+	d.Opts.Traffic = func(_ int, cfg trafficgen.Config) trafficgen.Source {
+		return delayedSource{trafficgen.NewFixedSize(cfg, 64), start + budgetNS/2}
+	}
+	res2, err := d.Drive(engines)
+	if err != nil {
+		t.Fatalf("second Drive: %v", err)
+	}
+	if res2.TxWire == 0 || res2.Offered != res.Offered {
+		t.Fatalf("second Drive: offered %d, tx %d; first offered %d", res2.Offered, res2.TxWire, res.Offered)
+	}
+}

@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -253,5 +254,102 @@ func TestWireMulticoreZeroAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(50, cycle)
 	if avg != 0 {
 		t.Errorf("multicore steady-state forwarding allocates %.2f times per round, want 0", avg)
+	}
+}
+
+// TestWireFramesBeforeSetupRX sends frames into a wire port before the
+// DUT exists: the port parks a full ring of them and drops the rest. The
+// PMD must still post a full ring of buffers at set-up, so the parked
+// frames and everything sent afterwards are forwarded.
+func TestWireFramesBeforeSetupRX(t *testing.T) {
+	const ring, early, late = 256, 600, 1000
+	gen, dut, err := wire.Loopback(
+		wire.Config{Name: "gen", RXRing: 2048, TXRing: 512},
+		wire.Config{Name: "wire0", RXRing: ring, TXRing: ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gen.Close(); dut.Close() })
+	frames := campusFrames(early + late)
+	tx := pktbuf.NewPacket(make([]byte, 2300), 0, 128)
+	reap := make([]*pktbuf.Packet, 1)
+	send := func(f []byte) {
+		tx.Reset(tx.OrigHeadroom())
+		tx.SetFrame(f)
+		if !gen.Enqueue(nil, tx, 0) {
+			t.Fatal("generator Enqueue refused")
+		}
+		for gen.Reap(0, reap) == 0 {
+			runtime.Gosched()
+		}
+	}
+	for _, f := range frames[:early] {
+		send(f)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for dut.PendingCount()+int(dut.RXStats().DropFull) < early {
+		if time.Now().After(deadline) {
+			t.Fatalf("port parked %d frames and dropped %d of %d", dut.PendingCount(), dut.RXStats().DropFull, early)
+		}
+		runtime.Gosched()
+	}
+
+	d, err := NewWireDUTPerCore(Options{Model: click.XChange, Seed: 7}, [][]nic.Port{{dut}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := click.Parse(nf.Mirror(0, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	routers, err := d.BuildRouters(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ring+late; i++ {
+		if err := gen.Post(pktbuf.NewPacket(make([]byte, 2300), 0, 128)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	serveDone := make(chan error, 1)
+	go func() {
+		_, err := d.ServeWire(ctx, []Engine{&clickEngine{rt: routers[0], core: d.Cores[0]}}, 500*time.Millisecond, 0)
+		serveDone <- err
+	}()
+
+	// Send the rest in chunks the RX ring can hold, waiting for each to
+	// come back before the next.
+	got := 0
+	pkts := make([]*pktbuf.Packet, 32)
+	descs := make([]nic.Descriptor, 32)
+	awaitEcho := func(want int) {
+		deadline := time.Now().Add(10 * time.Second)
+		for got < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("forwarded %d of %d frames; port rx %+v, %d buffers posted",
+					got, want, dut.RXStats(), dut.PostedCount())
+			}
+			if n := gen.Poll(nil, 0, len(pkts), pkts, descs); n > 0 {
+				got += n
+			} else {
+				runtime.Gosched()
+			}
+		}
+	}
+	awaitEcho(ring)
+	for i, f := range frames[early:] {
+		send(f)
+		if (i+1)%128 == 0 || i+1 == late {
+			awaitEcho(ring + i + 1)
+		}
+	}
+	cancel()
+	if err := <-serveDone; err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("wire serve: %v", err)
+	}
+	if drops := dut.RXStats().DropFull; drops != early-ring {
+		t.Fatalf("%d frames dropped, want the %d that found the ring full", drops, early-ring)
 	}
 }

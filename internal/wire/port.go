@@ -241,12 +241,20 @@ func (p *Port) drainRX() {
 				}
 			}
 			continue
-		case slot < 0:
+		case slot < 0 && p.free.n == 0:
 			p.rxStats.DropFull++
 		case n < nic.MinFrameSize:
 			p.rxStats.DropRunt++
-			p.free.push(slot)
+			if slot >= 0 {
+				p.free.push(slot)
+			}
 		default:
+			if slot < 0 {
+				// A poll freed a slot while this read waited on the
+				// socket: the frame found room after all.
+				slot = p.free.pop()
+				copy(p.slots[slot], scratch[:n])
+			}
 			p.slotLen[slot] = n
 			p.filled.push(slot)
 			p.rxStats.Delivered++
