@@ -88,7 +88,9 @@ trace-demo:
 	@echo "report: $(TRACEDEMO)/report.json (percentiles under .latency_us, per-element under .elements[].latency_us)"
 	@echo "trace:  $(TRACEDEMO)/trace.json  (open https://ui.perfetto.dev and drag the file in)"
 
-# Brief fuzz passes over the two grammar front ends.
+# Brief fuzz passes over the two grammar front ends and the cache
+# model's set storage (differential against the original set model).
 fuzz:
+	$(GO) test -run=NONE -fuzz=FuzzSetAssoc -fuzztime=30s ./internal/cache
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=30s ./internal/click
 	$(GO) test -run=NONE -fuzz=FuzzFaultSchedule -fuzztime=30s ./internal/faults
