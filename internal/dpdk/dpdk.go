@@ -584,8 +584,9 @@ func (pt *Port) unrefill(core *machine.Core, b *pktbuf.Packet) {
 	_ = pt.Pool.Put(core, b)
 }
 
-// TxBurst reaps completed transmissions (recycling their buffers) and
-// enqueues pkts[0:n]; returns how many were accepted.
+// TxBurst reaps completed transmissions (recycling their buffers),
+// enqueues pkts[0:n] and rings the device's doorbell once for the
+// burst; returns how many were accepted.
 func (pt *Port) TxBurst(core *machine.Core, nowNS float64, pkts []*pktbuf.Packet) int {
 	txq := pt.Dev
 
@@ -636,6 +637,9 @@ func (pt *Port) TxBurst(core *machine.Core, nowNS float64, pkts []*pktbuf.Packet
 			cb.Release(p)
 		}
 		sent++
+	}
+	if sent > 0 {
+		txq.Flush() // one doorbell per burst
 	}
 	pt.Stats.TxPackets += uint64(sent)
 	return sent

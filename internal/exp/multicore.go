@@ -160,6 +160,7 @@ func mcServe(cores, perCore int, seed uint64) (elapsedSec float64, frames uint64
 				for !gens[c].Enqueue(nil, tx, 0) {
 					runtime.Gosched()
 				}
+				gens[c].Flush()
 				for gens[c].Reap(0, reap) == 0 {
 					runtime.Gosched()
 				}

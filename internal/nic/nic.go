@@ -173,7 +173,15 @@ type Port interface {
 	PollCompressed(core *machine.Core, nowNS float64, max int, pkts []*pktbuf.Packet, descs []Descriptor) int
 
 	// Enqueue queues a frame for transmission; false when the ring is full.
+	// A frame Enqueue accepts is the port's, but need not reach the wire
+	// before the next Flush.
 	Enqueue(core *machine.Core, p *pktbuf.Packet, nowNS float64) bool
+	// Flush is the TX doorbell: every frame Enqueue accepted before the
+	// call is handed to the wire, in order, by the time it returns — sent,
+	// or dropped and counted. A driver rings it once per burst, after its
+	// enqueue loop. It may block while the peer is full; it charges no
+	// modeled cycles.
+	Flush()
 	// Reap returns buffers whose frames have left the wire by nowNS.
 	Reap(nowNS float64, out []*pktbuf.Packet) int
 	// InflightCount reports frames queued but not yet departed.
@@ -239,6 +247,10 @@ func (qp *QueuePair) PollCompressed(core *machine.Core, nowNS float64, max int,
 func (qp *QueuePair) Enqueue(core *machine.Core, p *pktbuf.Packet, nowNS float64) bool {
 	return qp.tx.Enqueue(core, p, nowNS)
 }
+
+// Flush implements Port. The simulated TX queue takes each frame at
+// Enqueue, so the doorbell has nothing left to do and charges nothing.
+func (qp *QueuePair) Flush() {}
 
 // Reap implements Port.
 func (qp *QueuePair) Reap(nowNS float64, out []*pktbuf.Packet) int {

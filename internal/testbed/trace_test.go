@@ -161,6 +161,7 @@ func TestWireMetricsScrape(t *testing.T) {
 		if !gen.Enqueue(nil, tx, 0) {
 			t.Fatal("generator Enqueue refused")
 		}
+		gen.Flush()
 		deadline := time.Now().Add(5 * time.Second)
 		for gen.Reap(0, reap) == 0 {
 			if time.Now().After(deadline) {

@@ -181,6 +181,7 @@ func runWireLoopback(t *testing.T, model click.MetadataModel) {
 		if !gen.Enqueue(nil, tx, 0) {
 			t.Fatal("generator Enqueue refused")
 		}
+		gen.Flush()
 		deadline := time.Now().Add(5 * time.Second)
 		for gen.Reap(0, reap) == 0 {
 			if time.Now().After(deadline) {

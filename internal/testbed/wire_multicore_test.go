@@ -105,6 +105,7 @@ func TestWireMulticoreConservation(t *testing.T) {
 					t.Errorf("core %d generator Enqueue refused", c)
 					return
 				}
+				gens[c].Flush()
 				for gens[c].Reap(0, reap) == 0 {
 					runtime.Gosched()
 				}
@@ -226,6 +227,7 @@ func TestWireMulticoreZeroAllocs(t *testing.T) {
 			if !gens[c].Enqueue(nil, tx, 0) {
 				t.Fatal("generator Enqueue refused")
 			}
+			gens[c].Flush()
 			for d.PortsFor[c][0].Dev.PendingCount() == 0 {
 				runtime.Gosched()
 			}
@@ -279,6 +281,7 @@ func TestWireFramesBeforeSetupRX(t *testing.T) {
 		if !gen.Enqueue(nil, tx, 0) {
 			t.Fatal("generator Enqueue refused")
 		}
+		gen.Flush()
 		for gen.Reap(0, reap) == 0 {
 			runtime.Gosched()
 		}

@@ -10,17 +10,16 @@
 // elephant flow keeps its queue (and its frame ordering) while every
 // other flow drains off it.
 //
-// The transmit side needs no demux: every queue port writes the shared
-// TX socket directly — datagram writes are atomic, and each queue keeps
-// its own pacing clock and in-flight ring, like per-queue TX rings on
-// one physical link.
+// The transmit side needs no demux: every queue port flushes into the
+// shared TX socket directly — datagram writes are atomic, and each queue
+// keeps its own batch writer, pacing clock and in-flight ring, like
+// per-queue TX rings on one physical link.
 package wire
 
 import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"packetmill/internal/nic"
 )
@@ -47,8 +46,9 @@ type Fanout struct {
 	queues []*Port
 	done   chan struct{}
 
-	mu      sync.Mutex // guards rxConn (redial swaps it) and closed
+	mu      sync.Mutex // guards rxConn and rx (redial swaps them) and closed
 	rxConn  net.Conn
+	rx      frameReader
 	closed  bool
 	reopens uint64
 
@@ -97,6 +97,7 @@ func NewFanout(cfg Config, n int, rxConn, txConn net.Conn) *Fanout {
 		f.table[b] = b % n
 	}
 	if rxConn != nil {
+		f.rx = newFrameReader(rxConn, cfg.RXRing)
 		go f.run()
 	} else {
 		close(f.done)
@@ -143,20 +144,26 @@ func (f *Fanout) Close() error {
 }
 
 // run is the reader: drain the shared socket, hash, demux, rebalance.
+// Each wake takes every queued frame, up to one queue's ring, with one
+// batched read, then files them one by one.
 func (f *Fanout) run() {
 	defer close(f.done)
-	buf := make([]byte, f.cfg.MTU)
+	bufs := make([][]byte, f.cfg.RXRing)
+	for i := range bufs {
+		bufs[i] = make([]byte, f.cfg.MTU)
+	}
+	lens := make([]int, len(bufs))
 	consecErrs := 0
 	window := 0
 	for {
 		f.mu.Lock()
-		conn := f.rxConn
+		rd := f.rx
 		closed := f.closed
 		f.mu.Unlock()
 		if closed {
 			return
 		}
-		n, err := conn.Read(buf)
+		n, err := rd.readBatch(bufs, lens)
 		if err != nil {
 			f.mu.Lock()
 			closed := f.closed
@@ -164,16 +171,13 @@ func (f *Fanout) run() {
 			if closed {
 				return
 			}
-			// Same linear-ramp backoff and redial escalation as a Port's
-			// own drain goroutine (see Port.drainRX).
+			// Same backoff and redial escalation as a Port's own drain
+			// goroutine (see Port.readFailed).
 			consecErrs++
-			d := time.Duration(consecErrs) * 100 * time.Microsecond
-			if d > 10*time.Millisecond {
-				d = 10 * time.Millisecond
-			}
-			time.Sleep(d)
+			readBackoff(consecErrs)
 			if f.cfg.Redial != nil && consecErrs >= 3 {
 				if nc, rerr := f.cfg.Redial(); rerr == nil {
+					rd := newFrameReader(nc, f.cfg.RXRing)
 					f.mu.Lock()
 					if f.closed {
 						f.mu.Unlock()
@@ -181,7 +185,7 @@ func (f *Fanout) run() {
 						return
 					}
 					old := f.rxConn
-					f.rxConn = nc
+					f.rxConn, f.rx = nc, rd
 					f.reopens++
 					f.mu.Unlock()
 					old.Close()
@@ -191,13 +195,15 @@ func (f *Fanout) run() {
 			continue
 		}
 		consecErrs = 0
-		frame := buf[:n]
-		b := nic.HashFrame(frame) & (FanoutBuckets - 1)
-		f.bucketN[b]++
-		f.queues[f.table[b]].deliver(frame)
-		if window++; window >= FanoutWindow {
-			window = 0
-			f.rebalance()
+		for i := 0; i < n; i++ {
+			frame := bufs[i][:lens[i]]
+			b := nic.HashFrame(frame) & (FanoutBuckets - 1)
+			f.bucketN[b]++
+			f.queues[f.table[b]].deliver(frame)
+			if window++; window >= FanoutWindow {
+				window = 0
+				f.rebalance()
+			}
 		}
 	}
 }

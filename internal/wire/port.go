@@ -10,11 +10,14 @@
 // sockets instead of the simulated MAC. A background reader drains the
 // RX socket into a fixed ring of preallocated MTU-sized slots — like a
 // hardware FIFO, frames wait there until the driver polls, and overflow
-// is dropped with a counter, never buffered without bound. The driver
-// side (Poll/Post/Enqueue/Reap) is mutex-guarded, allocation-free in
-// steady state, and charges nothing to the simulated memory hierarchy:
-// on a live wire the cycle ledger measures only what the host actually
-// does.
+// is dropped with a counter, never buffered without bound. Enqueue only
+// stages a frame; Flush, the TX doorbell the driver rings once per
+// burst, sends the staged frames with one batched write, and the reader
+// takes as many frames as are queued with one batched read (batch.go).
+// The driver side (Poll/Post/Enqueue/Flush/Reap) is mutex-guarded,
+// allocation-free in steady state, and charges nothing to the simulated
+// memory hierarchy: on a live wire the cycle ledger measures only what
+// the host actually does.
 package wire
 
 import (
@@ -69,26 +72,42 @@ func (c *Config) fill() {
 	}
 }
 
-// intRing is a fixed-capacity FIFO of slot indices. Fixed so the hot
-// path never grows a slice.
-type intRing struct {
-	buf  []int
+// ring is a fixed-capacity FIFO. Fixed so the hot path never grows a
+// slice; indices wrap by comparison rather than division.
+type ring[T any] struct {
+	buf  []T
 	head int
 	n    int
 }
 
-func newIntRing(capacity int) intRing { return intRing{buf: make([]int, capacity)} }
+func newRing[T any](capacity int) ring[T] { return ring[T]{buf: make([]T, capacity)} }
 
-func (r *intRing) push(v int) {
-	r.buf[(r.head+r.n)%len(r.buf)] = v
+func (r *ring[T]) push(v T) {
+	i := r.head + r.n
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = v
 	r.n++
 }
 
-func (r *intRing) pop() int {
+func (r *ring[T]) pop() T {
 	v := r.buf[r.head]
-	r.head = (r.head + 1) % len(r.buf)
+	var zero T
+	r.buf[r.head] = zero
+	if r.head++; r.head == len(r.buf) {
+		r.head = 0
+	}
 	r.n--
 	return v
+}
+
+// peek returns the i-th oldest entry without removing it.
+func (r *ring[T]) peek(i int) T {
+	if i += r.head; i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return r.buf[i]
 }
 
 // txRec is one in-flight transmission: the buffer the driver lent the
@@ -101,28 +120,32 @@ type txRec struct {
 // Port is a live queue pair over datagram sockets. It implements
 // nic.Port, so internal/dpdk, the metadata bindings, fault injection,
 // and telemetry drive it exactly as they drive the simulated adapter.
+//
+// Lock discipline: mu guards the rings and counters and is never held
+// across a syscall. txMu serializes flushers and is taken before mu.
 type Port struct {
 	cfg    Config
 	rxConn net.Conn
 	txConn net.Conn
+	tx     frameWriter // batched writer over txConn; nil without one
 
 	mu sync.Mutex
+	rx frameReader // batched reader over rxConn, swapped with it on redial
 	// RX: slots[i][:slotLen[i]] holds a received frame when i sits in
 	// filled; free holds the rest. posted queues driver buffers.
 	slots   [][]byte
 	slotLen []int
-	free    intRing
-	filled  intRing
-	posted  []*pktbuf.Packet
-	// TX: a fixed ring of in-flight buffers awaiting wall-clock depart.
-	// txPending counts Enqueue calls that reserved a slot but are still
-	// inside the unlocked send or retry backoff; capacity checks use
-	// txN+txPending so a concurrent Enqueue can never overwrite an
-	// in-flight record.
-	inflight   []txRec
-	txHead     int
-	txN        int
+	free    ring[int]
+	filled  ring[int]
+	posted  ring[*pktbuf.Packet]
+	// TX: staged holds the frames Enqueue accepted since a Flush last
+	// took the batch. txPending counts them plus the batch a Flush is
+	// still sending; capacity checks use inflight.n+txPending, so every
+	// accepted frame has an in-flight record waiting for it. inflight
+	// holds sent (or dropped) buffers until their wall-clock departure.
+	staged     []*pktbuf.Packet
 	txPending  int
+	inflight   ring[txRec]
 	lastDepart time.Time
 
 	rxStats nic.RXQueueStats
@@ -131,11 +154,21 @@ type Port struct {
 
 	closed bool
 	done   chan struct{}
+
+	// txMu is held by the one flusher sending; batch (the staged slice it
+	// took, swapped back as the next staging slice) and frames are its.
+	txMu   sync.Mutex
+	batch  []*pktbuf.Packet
+	frames [][]byte
 }
 
 // txMaxRetries bounds the in-place retries a transient TX errno gets
-// before the frame is booked under the transient-drop counter.
-const txMaxRetries = 3
+// before the frame is booked under the transient-drop counter; the
+// first retry waits txBackoff and each further one twice as long.
+const (
+	txMaxRetries = 3
+	txBackoff    = 50 * time.Microsecond
+)
 
 // isTransient classifies the errnos a loaded-but-alive socket returns —
 // would-block (EAGAIN) and kernel buffer exhaustion (ENOBUFS/ENOMEM) —
@@ -161,17 +194,24 @@ func NewPort(cfg Config, rxConn, txConn net.Conn) *Port {
 		txConn:   txConn,
 		slots:    make([][]byte, cfg.RXRing),
 		slotLen:  make([]int, cfg.RXRing),
-		free:     newIntRing(cfg.RXRing),
-		filled:   newIntRing(cfg.RXRing),
-		posted:   make([]*pktbuf.Packet, 0, cfg.RXRing),
-		inflight: make([]txRec, cfg.TXRing),
+		free:     newRing[int](cfg.RXRing),
+		filled:   newRing[int](cfg.RXRing),
+		posted:   newRing[*pktbuf.Packet](cfg.RXRing),
+		staged:   make([]*pktbuf.Packet, 0, cfg.TXRing),
+		inflight: newRing[txRec](cfg.TXRing),
+		batch:    make([]*pktbuf.Packet, 0, cfg.TXRing),
+		frames:   make([][]byte, cfg.TXRing),
 		done:     make(chan struct{}),
 	}
 	for i := range p.slots {
 		p.slots[i] = make([]byte, cfg.MTU)
 		p.free.push(i)
 	}
+	if txConn != nil {
+		p.tx = newFrameWriter(txConn, cfg.TXRing)
+	}
 	if rxConn != nil {
+		p.rx = newFrameReader(rxConn, cfg.RXRing)
 		go p.drainRX()
 	} else {
 		close(p.done)
@@ -179,91 +219,132 @@ func NewPort(cfg Config, rxConn, txConn net.Conn) *Port {
 	return p
 }
 
-// drainRX moves frames from the socket into ring slots. It claims a slot
-// under the lock, reads outside it (so Poll never waits on the kernel),
-// and files the result. With the ring full it still reads — into a
-// sacrificial slot — so the socket buffer cannot silently absorb the
-// overrun; the drop is counted where a NIC would count it.
+// drainRX moves frames from the socket into ring slots. Each wake it
+// claims every free slot under the lock, reads as many frames as are
+// queued into them with one batched read outside it (so Poll never
+// waits on the kernel), and files the results. With the ring full it
+// still reads — one frame into a sacrificial slot — so the socket
+// buffer cannot silently absorb the overrun; the drop is counted where
+// a NIC would count it.
+//
+// Claiming peeks rather than pops: this goroutine is the only consumer
+// of free on a port with its own reader (deliver serves reader-less
+// Fanout queues), and Poll only appends, so after the read the claimed
+// slots are still the oldest entries, in order.
 func (p *Port) drainRX() {
 	defer close(p.done)
-	scratch := make([]byte, p.cfg.MTU)
+	scratch := [][]byte{make([]byte, p.cfg.MTU)}
+	bufs := make([][]byte, p.cfg.RXRing)
+	lens := make([]int, p.cfg.RXRing)
 	consecErrs := 0
 	for {
 		p.mu.Lock()
-		slot := -1
-		if p.free.n > 0 {
-			slot = p.free.pop()
+		claimed := p.free.n
+		for i := 0; i < claimed; i++ {
+			bufs[i] = p.slots[p.free.peek(i)]
 		}
 		closed := p.closed
-		conn := p.rxConn // snapshot: Redial may swap the field under the lock
+		rd := p.rx // snapshot: Redial may swap the field under the lock
 		p.mu.Unlock()
 		if closed {
 			return
 		}
-		buf := scratch
-		if slot >= 0 {
-			buf = p.slots[slot]
+		in := bufs[:claimed]
+		if claimed == 0 {
+			in = scratch
 		}
-		n, err := conn.Read(buf)
-		p.mu.Lock()
-		switch {
-		case err != nil:
-			if slot >= 0 {
-				p.free.push(slot)
-			}
-			closed := p.closed
-			p.mu.Unlock()
-			if closed {
+		n, err := rd.readBatch(in, lens)
+		if err != nil {
+			if p.readFailed(&consecErrs) {
 				return
 			}
-			// Back off while the socket misbehaves (linear ramp, capped)
-			// so a dead peer doesn't spin this goroutine flat out, then
-			// escalate to a reopen once the errors look persistent.
-			consecErrs++
-			d := time.Duration(consecErrs) * 100 * time.Microsecond
-			if d > 10*time.Millisecond {
-				d = 10 * time.Millisecond
-			}
-			time.Sleep(d)
-			if p.cfg.Redial != nil && consecErrs >= 3 {
-				if nc, rerr := p.cfg.Redial(); rerr == nil {
-					p.mu.Lock()
-					if p.closed {
-						p.mu.Unlock()
-						nc.Close()
-						return
-					}
-					old := p.rxConn
-					p.rxConn = nc
-					p.reopens++
-					p.mu.Unlock()
-					old.Close()
-					consecErrs = 0
-				}
-			}
 			continue
-		case slot < 0 && p.free.n == 0:
-			p.rxStats.DropFull++
-		case n < nic.MinFrameSize:
-			p.rxStats.DropRunt++
-			if slot >= 0 {
-				p.free.push(slot)
-			}
-		default:
-			if slot < 0 {
-				// A poll freed a slot while this read waited on the
-				// socket: the frame found room after all.
-				slot = p.free.pop()
-				copy(p.slots[slot], scratch[:n])
-			}
-			p.slotLen[slot] = n
-			p.filled.push(slot)
-			p.rxStats.Delivered++
-			p.rxStats.Bytes += uint64(n)
 		}
 		consecErrs = 0
+		p.mu.Lock()
+		if claimed == 0 {
+			p.fileOverrun(scratch[0][:lens[0]])
+		} else {
+			for _, l := range lens[:n] {
+				slot := p.free.pop()
+				if l < nic.MinFrameSize {
+					p.rxStats.DropRunt++
+					p.free.push(slot)
+				} else {
+					p.fileSlot(slot, l)
+				}
+			}
+		}
 		p.mu.Unlock()
 	}
+}
+
+// readFailed handles a failed RX read and reports whether the port is
+// closed. While the socket misbehaves it backs off, then escalates to a
+// reopen once the errors look persistent.
+func (p *Port) readFailed(consecErrs *int) (closed bool) {
+	p.mu.Lock()
+	closed = p.closed
+	p.mu.Unlock()
+	if closed {
+		return true
+	}
+	*consecErrs++
+	readBackoff(*consecErrs)
+	if p.cfg.Redial == nil || *consecErrs < 3 {
+		return false
+	}
+	nc, err := p.cfg.Redial()
+	if err != nil {
+		return false
+	}
+	rd := newFrameReader(nc, p.cfg.RXRing)
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		nc.Close()
+		return true
+	}
+	old := p.rxConn
+	p.rxConn, p.rx = nc, rd
+	p.reopens++
+	p.mu.Unlock()
+	old.Close()
+	*consecErrs = 0
+	return false
+}
+
+// readBackoff sleeps after the consecErrs-th read error in a row: a
+// linear ramp, capped, so a dead peer doesn't spin a reader flat out.
+func readBackoff(consecErrs int) {
+	d := time.Duration(consecErrs) * 100 * time.Microsecond
+	if d > 10*time.Millisecond {
+		d = 10 * time.Millisecond
+	}
+	time.Sleep(d)
+}
+
+// fileOverrun books a frame read while the ring was full: dropped,
+// unless a poll freed a slot while the read waited on the socket, in
+// which case the frame found room after all.
+func (p *Port) fileOverrun(frame []byte) {
+	switch {
+	case p.free.n == 0:
+		p.rxStats.DropFull++
+	case len(frame) < nic.MinFrameSize:
+		p.rxStats.DropRunt++
+	default:
+		slot := p.free.pop()
+		p.fileSlot(slot, copy(p.slots[slot], frame))
+	}
+}
+
+// fileSlot queues slot, holding an n-byte frame, for the driver.
+func (p *Port) fileSlot(slot, n int) {
+	p.slotLen[slot] = n
+	p.filled.push(slot)
+	p.rxStats.Delivered++
+	p.rxStats.Bytes += uint64(n)
 }
 
 // deliver files one received frame into a free RX slot, with the same
@@ -283,11 +364,7 @@ func (p *Port) deliver(frame []byte) {
 		p.rxStats.DropFull++
 	default:
 		slot := p.free.pop()
-		n := copy(p.slots[slot], frame)
-		p.slotLen[slot] = n
-		p.filled.push(slot)
-		p.rxStats.Delivered++
-		p.rxStats.Bytes += uint64(n)
+		p.fileSlot(slot, copy(p.slots[slot], frame))
 	}
 }
 
@@ -337,10 +414,10 @@ func (p *Port) Post(pkt *pktbuf.Packet) error {
 	// Unlike the simulated queue, pending frames hold ring *slots*, not
 	// posted buffers — a buffer can always be posted against a parked
 	// frame, so only the posted queue itself is bounded.
-	if len(p.posted) >= p.cfg.RXRing {
+	if p.posted.n >= p.cfg.RXRing {
 		return nic.ErrOverPosted
 	}
-	p.posted = append(p.posted, pkt)
+	p.posted.push(pkt)
 	return nil
 }
 
@@ -348,7 +425,7 @@ func (p *Port) Post(pkt *pktbuf.Packet) error {
 func (p *Port) PostedCount() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.posted)
+	return p.posted.n
 }
 
 // PendingCount reports frames sitting in the RX ring awaiting a poll.
@@ -379,11 +456,9 @@ func (p *Port) Poll(core *machine.Core, nowNS float64, max int,
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := 0
-	for n < max && p.filled.n > 0 && len(p.posted) > 0 {
+	for n < max && p.filled.n > 0 && p.posted.n > 0 {
 		slot := p.filled.pop()
-		pkt := p.posted[0]
-		copy(p.posted, p.posted[1:])
-		p.posted = p.posted[:len(p.posted)-1]
+		pkt := p.posted.pop()
 		frame := p.slots[slot][:p.slotLen[slot]]
 		pkt.SetFrame(frame)
 		pkt.ArrivalNS = nowNS
@@ -407,55 +482,71 @@ func (p *Port) PollCompressed(core *machine.Core, nowNS float64, max int,
 	return p.Poll(core, nowNS, max, pkts, descs)
 }
 
-// Enqueue writes the frame to the TX socket and parks the buffer until
-// its wall-clock departure. The link-rate pacing delays only *buffer
-// reclamation* — the datagram itself leaves immediately — which is the
-// part of serialization the driver can observe: TX-ring backpressure.
+// Enqueue stages the frame for the next Flush and reserves its
+// in-flight record; it never touches the socket. The link-rate pacing
+// Flush applies delays only *buffer reclamation* — the datagram itself
+// leaves at once — which is the part of serialization the driver can
+// observe: TX-ring backpressure.
 func (p *Port) Enqueue(core *machine.Core, pkt *pktbuf.Packet, nowNS float64) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.txN+p.txPending >= p.cfg.TXRing {
+	if p.inflight.n+p.txPending >= p.cfg.TXRing {
 		p.txStats.DropFull++
 		return false
 	}
-	now := time.Now()
 	if pkt.Len() > p.cfg.MTU {
 		// Oversize for the emulated link: dropped on the wire, but the
 		// buffer still cycles back through Reap immediately.
 		p.txStats.DropOversize++
-		p.pushInflight(txRec{pkt: pkt, departWall: now})
+		p.inflight.push(txRec{pkt: pkt, departWall: time.Now()})
 		return true
 	}
-	if p.txConn != nil {
-		var err error
-		backoff := 50 * time.Microsecond
-		// Reserve the in-flight slot before the send or a backoff
-		// releases the lock: without the reservation, a concurrent
-		// Enqueue could pass the capacity check meanwhile and
-		// pushInflight would then overwrite the oldest in-flight record —
-		// leaking that buffer (never reaped) and corrupting txN.
-		p.txPending++
-		for attempt := 0; ; attempt++ {
-			// Write with the lock released. A write into a full peer
-			// queue blocks until the peer drains it; holding p.mu would
-			// stall this port's RX drain (and, for Fanout queues sharing
-			// one txConn, every queue's), so two ports feeding each
-			// other would deadlock.
-			p.mu.Unlock()
-			_, err = p.txConn.Write(pkt.Bytes())
-			p.mu.Lock()
-			if err == nil || !isTransient(err) || attempt >= txMaxRetries || p.closed {
-				break
-			}
-			// Transient errno (EAGAIN/ENOBUFS): bounded doubling backoff,
-			// lock released so Poll/Reap keep moving while we wait.
-			p.mu.Unlock()
-			time.Sleep(backoff)
-			backoff *= 2
-			p.mu.Lock()
+	p.staged = append(p.staged, pkt)
+	p.txPending++
+	return true
+}
+
+// Flush implements nic.Port: the TX doorbell. It sends every frame
+// staged before the call, in order, one batched write per batch, and
+// books each as sent (reclaimed at its paced departure) or dropped
+// (reclaimed at once). The lock is held only to take the batch and to
+// book results, never across the write, so the RX drain and Poll keep
+// moving while a full peer queue blocks it.
+func (p *Port) Flush() {
+	p.txMu.Lock()
+	defer p.txMu.Unlock()
+	p.mu.Lock()
+	batch := p.staged
+	p.staged, p.batch = p.batch[:0], batch
+	p.mu.Unlock()
+	frames := p.frames[:len(batch)]
+	for i, pkt := range batch {
+		frames[i] = pkt.Bytes()
+	}
+	attempt := 0 // retries of batch[off], the frame the last write stopped at
+	for off := 0; off < len(batch); {
+		n, err := len(batch)-off, error(nil)
+		if p.tx != nil {
+			n, err = p.tx.writeBatch(frames[off:])
 		}
-		p.txPending--
+		p.mu.Lock()
+		now := time.Now()
+		for _, pkt := range batch[off : off+n] {
+			p.bookSent(pkt, now)
+		}
+		p.txPending -= n
+		if off += n; n > 0 {
+			attempt = 0
+		}
 		if err != nil {
+			if isTransient(err) && attempt < txMaxRetries && !p.closed {
+				// Transient errno (EAGAIN/ENOBUFS): bounded doubling
+				// backoff, lock released so Poll/Reap keep moving.
+				p.mu.Unlock()
+				time.Sleep(txBackoff << attempt)
+				attempt++
+				continue
+			}
 			// A transient errno that survived the retries is the kernel
 			// buffer overrunning; a hard error is the peer overrun or
 			// gone. Distinct counters so dashboards can tell congestion
@@ -465,26 +556,29 @@ func (p *Port) Enqueue(core *machine.Core, pkt *pktbuf.Packet, nowNS float64) bo
 			} else {
 				p.txStats.DropFull++
 			}
-			p.pushInflight(txRec{pkt: pkt, departWall: now})
-			return true
+			p.inflight.push(txRec{pkt: batch[off], departWall: now})
+			p.txPending--
+			off++
+			attempt = 0
 		}
+		p.mu.Unlock()
 	}
+	clear(batch)
+	clear(frames)
+}
+
+// bookSent records a frame the socket took: it departs one serialization
+// time after the later of now and the previous frame's departure.
+func (p *Port) bookSent(pkt *pktbuf.Packet, now time.Time) {
 	wire := time.Duration(float64(pkt.Len()+20) * 8 / p.cfg.LinkGbps) // ns
 	start := now
 	if p.lastDepart.After(start) {
 		start = p.lastDepart
 	}
-	depart := start.Add(wire)
-	p.lastDepart = depart
-	p.pushInflight(txRec{pkt: pkt, departWall: depart})
+	p.lastDepart = start.Add(wire)
+	p.inflight.push(txRec{pkt: pkt, departWall: p.lastDepart})
 	p.txStats.Sent++
 	p.txStats.Bytes += uint64(pkt.Len())
-	return true
-}
-
-func (p *Port) pushInflight(r txRec) {
-	p.inflight[(p.txHead+p.txN)%len(p.inflight)] = r
-	p.txN++
 }
 
 // Reap returns buffers whose frames have departed. Departure is wall
@@ -496,21 +590,19 @@ func (p *Port) Reap(nowNS float64, out []*pktbuf.Packet) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := 0
-	for n < len(out) && p.txN > 0 && !p.inflight[p.txHead].departWall.After(now) {
-		out[n] = p.inflight[p.txHead].pkt
-		p.inflight[p.txHead].pkt = nil
-		p.txHead = (p.txHead + 1) % len(p.inflight)
-		p.txN--
+	for n < len(out) && p.inflight.n > 0 && !p.inflight.peek(0).departWall.After(now) {
+		out[n] = p.inflight.pop().pkt
 		n++
 	}
 	return n
 }
 
-// InflightCount implements nic.Port.
+// InflightCount implements nic.Port: frames staged or being sent count
+// too, since their buffers are the port's until Reap returns them.
 func (p *Port) InflightCount() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.txN
+	return p.inflight.n + p.txPending
 }
 
 // RXStats implements nic.Port.

@@ -67,6 +67,7 @@ func TestLoopbackRoundTrip(t *testing.T) {
 	if !a.Enqueue(nil, tx, 0) {
 		t.Fatal("Enqueue refused")
 	}
+	a.Flush()
 	waitPending(t, b, 1)
 
 	if b.NextReadyNS() > 0 {
@@ -122,6 +123,7 @@ func TestRXOverrun(t *testing.T) {
 		if !a.Enqueue(nil, tx, 0) {
 			t.Fatalf("Enqueue %d refused", i)
 		}
+		a.Flush()
 		reap := make([]*pktbuf.Packet, 1)
 		waitCond(t, "reap", func() bool { return a.Reap(0, reap) == 1 })
 	}
@@ -184,6 +186,7 @@ func TestOversizeTXRecycles(t *testing.T) {
 	if !a.Enqueue(nil, tx, 0) {
 		t.Fatal("oversize Enqueue should accept and drop")
 	}
+	a.Flush()
 	if s := a.TXStats(); s.DropOversize != 1 || s.DropFull != 0 || s.Sent != 0 {
 		t.Fatalf("TXStats = %+v, want one oversize drop and no send", s)
 	}
@@ -210,6 +213,7 @@ func TestTXRingBackpressure(t *testing.T) {
 			t.Fatalf("Enqueue %d refused with ring space", i)
 		}
 	}
+	a.Flush()
 	tx := testBuf()
 	tx.SetFrame(testFrame(80, 9))
 	if a.Enqueue(nil, tx, 0) {
@@ -224,8 +228,9 @@ func TestTXRingBackpressure(t *testing.T) {
 }
 
 // TestSteadyStateRXAllocs is the live backend's zero-allocation gate:
-// once the rings are primed, a full send→drain→poll→repost→reap cycle
-// must not allocate — the only allocations belong to setup and refill.
+// once the rings are primed, a full burst cycle — enqueue, one Flush
+// (one batched send), batched drain, poll, repost, reap — must not
+// allocate; the only allocations belong to setup and refill.
 func TestSteadyStateRXAllocs(t *testing.T) {
 	a, b, err := Loopback(Config{}, Config{})
 	if err != nil {
@@ -234,32 +239,42 @@ func TestSteadyStateRXAllocs(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 
-	rx := testBuf()
-	if err := b.Post(rx); err != nil {
-		t.Fatal(err)
-	}
-	frame := testFrame(128, 3)
-	tx := testBuf()
-	tx.SetFrame(frame)
-	pkts := make([]*pktbuf.Packet, 4)
-	descs := make([]nic.Descriptor, 4)
-	reap := make([]*pktbuf.Packet, 4)
-
-	cycle := func() {
-		if !a.Enqueue(nil, tx, 0) {
-			t.Fatal("Enqueue refused")
-		}
-		for b.PendingCount() == 0 {
-			runtime.Gosched()
-		}
-		if n := b.Poll(nil, 0, 4, pkts, descs); n != 1 {
-			t.Fatalf("Poll = %d", n)
-		}
-		if err := b.Post(pkts[0]); err != nil { // refill
+	const burst = 8
+	txs := make([]*pktbuf.Packet, burst)
+	for i := range txs {
+		if err := b.Post(testBuf()); err != nil {
 			t.Fatal(err)
 		}
-		for a.Reap(0, reap) == 0 {
-			runtime.Gosched()
+		txs[i] = testBuf()
+		txs[i].SetFrame(testFrame(128, byte(i)))
+	}
+	pkts := make([]*pktbuf.Packet, burst)
+	descs := make([]nic.Descriptor, burst)
+	reap := make([]*pktbuf.Packet, burst)
+
+	cycle := func() {
+		for _, tx := range txs {
+			if !a.Enqueue(nil, tx, 0) {
+				t.Fatal("Enqueue refused")
+			}
+		}
+		a.Flush()
+		for got := 0; got < burst; {
+			n := b.Poll(nil, 0, burst-got, pkts, descs)
+			for _, p := range pkts[:n] {
+				if err := b.Post(p); err != nil { // refill
+					t.Fatal(err)
+				}
+			}
+			if got += n; n == 0 {
+				runtime.Gosched()
+			}
+		}
+		for got := 0; got < burst; {
+			n := a.Reap(0, reap)
+			if got += n; n == 0 {
+				runtime.Gosched()
+			}
 		}
 	}
 	for i := 0; i < 50; i++ { // warm up socket buffers and runtime paths
@@ -267,6 +282,194 @@ func TestSteadyStateRXAllocs(t *testing.T) {
 	}
 	avg := testing.AllocsPerRun(200, cycle)
 	if avg > 0 {
-		t.Fatalf("steady-state cycle allocates %.2f objects/run, want 0", avg)
+		t.Fatalf("steady-state burst cycle allocates %.2f objects/run, want 0", avg)
+	}
+}
+
+// TestPostedFIFO: posted buffers are handed out in the order they were
+// posted, across ring wrap-around, and a post/deliver/poll cycle
+// allocates nothing.
+func TestPostedFIFO(t *testing.T) {
+	const ring = 8
+	p := NewPort(Config{RXRing: ring}, nil, nil)
+	defer p.Close()
+	bufs := make([]*pktbuf.Packet, ring)
+	for i := range bufs {
+		bufs[i] = testBuf()
+	}
+	frame := testFrame(64, 1)
+	pkts := make([]*pktbuf.Packet, ring)
+	descs := make([]nic.Descriptor, ring)
+	next := 0 // index of the buffer the next Poll must return
+	cycle := func(k int) {
+		// Post k buffers in rotation, so the posted ring's head keeps
+		// moving and wraps.
+		for i := 0; i < k; i++ {
+			if err := p.Post(bufs[(next+i)%ring]); err != nil {
+				t.Fatal(err)
+			}
+			p.deliver(frame)
+		}
+		if n := p.Poll(nil, 0, ring, pkts, descs); n != k {
+			t.Fatalf("Poll = %d, want %d", n, k)
+		}
+		for i := 0; i < k; i++ {
+			if pkts[i] != bufs[(next+i)%ring] {
+				t.Fatalf("poll %d returned buffer out of post order", i)
+			}
+		}
+		next = (next + k) % ring
+	}
+	for k := 1; k <= ring; k++ {
+		cycle(k)
+		cycle(ring - k + 1)
+	}
+	if avg := testing.AllocsPerRun(100, func() { cycle(5) }); avg > 0 {
+		t.Fatalf("post/deliver/poll allocates %.2f objects/run, want 0", avg)
+	}
+}
+
+// TestFlushIsTheDoorbell: Enqueue only stages; nothing reaches the peer
+// until Flush, which sends the staged frames in order.
+func TestFlushIsTheDoorbell(t *testing.T) {
+	a, b, err := Loopback(Config{}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	defer b.Close()
+	const burst = 16
+	for i := 0; i < burst; i++ {
+		if err := b.Post(testBuf()); err != nil {
+			t.Fatal(err)
+		}
+		tx := testBuf()
+		tx.SetFrame(testFrame(100, byte(i)))
+		if !a.Enqueue(nil, tx, 0) {
+			t.Fatalf("Enqueue %d refused", i)
+		}
+	}
+	if got := a.InflightCount(); got != burst {
+		t.Fatalf("InflightCount = %d with %d staged, want %d", got, burst, burst)
+	}
+	time.Sleep(20 * time.Millisecond) // ample time for a frame to cross
+	if s := b.RXStats(); s.Delivered != 0 || a.TXStats().Sent != 0 {
+		t.Fatalf("frames reached the wire before Flush: peer %+v, sender %+v", s, a.TXStats())
+	}
+	a.Flush()
+	if s := a.TXStats(); s.Sent != burst {
+		t.Fatalf("after Flush TXStats = %+v, want %d sent", s, burst)
+	}
+	waitPending(t, b, burst)
+	pkts := make([]*pktbuf.Packet, burst)
+	descs := make([]nic.Descriptor, burst)
+	if n := b.Poll(nil, 0, burst, pkts, descs); n != burst {
+		t.Fatalf("Poll = %d, want %d", n, burst)
+	}
+	for i, p := range pkts {
+		if !bytes.Equal(p.Bytes(), testFrame(100, byte(i))) {
+			t.Fatalf("frame %d out of order or corrupted", i)
+		}
+	}
+}
+
+// TestFlushIntoFullPeer: a 64-frame Flush into a peer that reads slowly
+// — its datagram queue holds only a few frames (net.unix.max_dgram_qlen
+// is 10 on many hosts) — waits for room instead of failing, and
+// completes with every frame sent, in order, while the peer drains.
+func TestFlushIntoFullPeer(t *testing.T) {
+	near, far, err := Socketpair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewPort(Config{}, nil, near)
+	defer a.Close()
+	defer far.Close()
+	const burst = 64
+	got := make(chan []byte, burst)
+	go func() {
+		buf := make([]byte, 256)
+		for i := 0; i < burst; i++ {
+			time.Sleep(200 * time.Microsecond)
+			n, err := far.Read(buf)
+			if err != nil {
+				close(got)
+				return
+			}
+			got <- append([]byte(nil), buf[:n]...)
+		}
+	}()
+	for i := 0; i < burst; i++ {
+		tx := testBuf()
+		tx.SetFrame(testFrame(80, byte(i)))
+		if !a.Enqueue(nil, tx, 0) {
+			t.Fatalf("Enqueue %d refused", i)
+		}
+	}
+	a.Flush()
+	if s := a.TXStats(); s.Sent != burst || s.DropFull+s.DropTransient != 0 {
+		t.Fatalf("TXStats = %+v, want %d sent and no drops", s, burst)
+	}
+	for i := 0; i < burst; i++ {
+		select {
+		case f, ok := <-got:
+			if !ok {
+				t.Fatalf("peer read failed after %d frames", i)
+			}
+			if !bytes.Equal(f, testFrame(80, byte(i))) {
+				t.Fatalf("frame %d out of order or corrupted", i)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("peer received %d of %d frames", i, burst)
+		}
+	}
+}
+
+// TestBatchedDrainAccounting: frames queued on the socket before the
+// port's reader starts arrive in multi-frame batches. A mix of runts
+// and good frames that fills the 4-slot ring partway through must book
+// Delivered, DropRunt and DropFull exactly as one read per frame would:
+// a runt frees its slot, and once the ring is full every frame — runt
+// or not — is a DropFull.
+func TestBatchedDrainAccounting(t *testing.T) {
+	near, far, err := Socketpair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer far.Close()
+	// good, runt, good, good, runt, good | ring full: good, runt, good
+	pattern := []bool{true, false, true, true, false, true, true, false, true}
+	for i, good := range pattern {
+		f := testFrame(80, byte(i))
+		if !good {
+			f = f[:20]
+		}
+		if _, err := far.Write(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := NewPort(Config{RXRing: 4}, near, nil)
+	defer p.Close()
+	waitCond(t, "all frames booked", func() bool {
+		s := p.RXStats()
+		return s.Delivered+s.DropRunt+s.DropFull == uint64(len(pattern))
+	})
+	if s := p.RXStats(); s.Delivered != 4 || s.DropRunt != 2 || s.DropFull != 3 {
+		t.Fatalf("RXStats = %+v, want Delivered 4, DropRunt 2, DropFull 3", s)
+	}
+	pkts := make([]*pktbuf.Packet, 4)
+	descs := make([]nic.Descriptor, 4)
+	for i := 0; i < 4; i++ {
+		if err := p.Post(testBuf()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := p.Poll(nil, 0, 4, pkts, descs); n != 4 {
+		t.Fatalf("Poll = %d, want 4", n)
+	}
+	for i, want := range []int{0, 2, 3, 5} {
+		if !bytes.Equal(pkts[i].Bytes(), testFrame(80, byte(want))) {
+			t.Fatalf("delivered frame %d is not pattern frame %d", i, want)
+		}
 	}
 }

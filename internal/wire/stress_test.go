@@ -14,10 +14,10 @@ import (
 )
 
 // flakyConn fails every fourth write with a transient errno. Real
-// socketpair writes almost never surface EAGAIN through net.Conn — the
-// runtime's poller blocks instead — so without injection the Enqueue
-// backoff path (the one that drops the port lock mid-call) would go
-// unexercised.
+// socketpair sends almost never surface EAGAIN — the runtime's poller
+// waits instead — so without injection the Flush backoff path (the one
+// that drops the port lock mid-call) would go unexercised. It exposes
+// no descriptor, so the port sends through the per-frame adapter.
 type flakyConn struct {
 	net.Conn
 	n atomic.Uint64
@@ -31,7 +31,8 @@ func (c *flakyConn) Write(b []byte) (int, error) {
 }
 
 // TestPortConcurrentStress hammers one wire.Port from many goroutines —
-// Enqueue with injected transient-errno backoff, Post/Poll, Reap, and a
+// Enqueue and concurrent Flushes with injected transient-errno backoff,
+// Post/Poll, Reap, and a
 // mid-run RX socket kill that forces a redial — then checks buffer
 // conservation: every accepted TX buffer comes back through Reap exactly
 // once, and the TX ledger accounts for every Enqueue call. Before the
@@ -146,6 +147,7 @@ func TestPortConcurrentStress(t *testing.T) {
 					}
 					if p.Enqueue(nil, b, 0) {
 						accepted.Add(1)
+						p.Flush()
 					} else {
 						refused.Add(1)
 						freeCh <- b
@@ -217,6 +219,7 @@ func TestPortConcurrentStress(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				b.SetFrame(frame)
 				p.Enqueue(nil, b, 0)
+				p.Flush()
 				p.Reap(0, out)
 				p.Poll(nil, 0, 8, pkts, descs)
 				p.RXStats()
@@ -232,10 +235,10 @@ func TestPortConcurrentStress(t *testing.T) {
 
 // TestCrossFeedingPortsDoNotDeadlock drives two loopback ports that
 // transmit into each other as fast as their TX rings allow, the way a
-// generator and a mirroring DUT do. A write into a full datagram queue
-// blocks until the peer's drain reads; if Enqueue held the port lock
-// across that write, each side's drain would wait on the lock its own
-// blocked writer holds and neither write would ever complete.
+// generator and a mirroring DUT do. A send into a full datagram queue
+// waits until the peer's drain reads; if Flush held the port lock
+// across that send, each side's drain would wait on the lock its own
+// blocked sender holds and neither send would ever complete.
 func TestCrossFeedingPortsDoNotDeadlock(t *testing.T) {
 	a, b, err := Loopback(Config{Name: "xa", TXRing: 512, RXRing: 64}, Config{Name: "xb", TXRing: 512, RXRing: 64})
 	if err != nil {
@@ -246,10 +249,10 @@ func TestCrossFeedingPortsDoNotDeadlock(t *testing.T) {
 
 // TestCrossFeedingFanoutsDoNotDeadlock is the same with two 2-queue
 // fanouts whose queues share one TX socket per side. While one queue
-// waits in a write into the peer's full queue, it holds the socket's
+// waits in a send into the peer's full queue, it holds the socket's
 // write lock; a sibling queue must wait for that lock without holding
 // its own port lock, or the shared reader, delivering to the sibling,
-// stalls and the peer's writers never drain.
+// stalls and the peer's senders never drain.
 func TestCrossFeedingFanoutsDoNotDeadlock(t *testing.T) {
 	ab1, ab2, err := Socketpair() // A tx -> B rx
 	if err != nil {
@@ -266,27 +269,37 @@ func TestCrossFeedingFanoutsDoNotDeadlock(t *testing.T) {
 	crossFeed(t, ports, func() { fa.Close(); fb.Close() })
 }
 
-// crossFeed has every port transmit frames spread over many flows, one
-// at a time, each reaped before the next, and fails if they have not
-// all finished within 30 s. closeAll runs once they have.
+// crossFeed has every port transmit frames spread over many flows in
+// 64-frame bursts — enqueue the burst, one Flush, reap all 64 — far more
+// than a peer's datagram queue holds, and fails if they have not all
+// finished within 30 s. closeAll runs once they have.
 func crossFeed(t *testing.T, ports []*Port, closeAll func()) {
 	t.Helper()
-	const frames = 20000
+	const frames, burst = 20480, 64
 	var wg sync.WaitGroup
 	for _, p := range ports {
 		wg.Add(1)
 		go func(p *Port) {
 			defer wg.Done()
-			tx := testBuf()
-			reap := make([]*pktbuf.Packet, 1)
-			for i := 0; i < frames; i++ {
-				tx.Reset(tx.OrigHeadroom())
-				tx.SetFrame(flowFrame(uint16(i)))
-				for !p.Enqueue(nil, tx, 0) {
-					runtime.Gosched()
+			txs := make([]*pktbuf.Packet, burst)
+			for i := range txs {
+				txs[i] = testBuf()
+			}
+			reap := make([]*pktbuf.Packet, burst)
+			for i := 0; i < frames; i += burst {
+				for j, tx := range txs {
+					tx.Reset(tx.OrigHeadroom())
+					tx.SetFrame(flowFrame(uint16(i + j)))
+					for !p.Enqueue(nil, tx, 0) {
+						runtime.Gosched()
+					}
 				}
-				for p.Reap(0, reap) == 0 {
-					runtime.Gosched()
+				p.Flush()
+				for got := 0; got < burst; {
+					n := p.Reap(0, reap)
+					if got += n; n == 0 {
+						runtime.Gosched()
+					}
 				}
 			}
 		}(p)
@@ -297,6 +310,6 @@ func crossFeed(t *testing.T, ports []*Port, closeAll func()) {
 	case <-done:
 		closeAll()
 	case <-time.After(30 * time.Second):
-		t.Fatal("cross-feeding ports wedged: Enqueue blocked in a write that the peer's drain never completes")
+		t.Fatal("cross-feeding ports wedged: Flush blocked in a send that the peer's drain never completes")
 	}
 }
