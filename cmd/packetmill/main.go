@@ -435,31 +435,13 @@ func runWire(p *core.Pipeline, base testbed.Options, rxAddr, txAddr, metricsAddr
 		fatal(err)
 	}
 	fmt.Printf("wire session:   %d scheduling rounds, %d packets moved\n", st.Steps, st.Packets)
-	var arx nic.RXQueueStats
-	var atx nic.TXQueueStats
-	for c, devs := range devsPerCore {
-		rxs, txs := devs[0].RXStats(), devs[0].TXStats()
-		if len(devsPerCore) > 1 {
-			fmt.Printf("core %d rx:      %d frames (%d bytes), drops: nobuf=%d full=%d runt=%d\n",
-				c, rxs.Delivered, rxs.Bytes, rxs.DropNoBuf, rxs.DropFull, rxs.DropRunt)
-			fmt.Printf("core %d tx:      %d frames (%d bytes), drops: full=%d transient=%d oversize=%d\n",
-				c, txs.Sent, txs.Bytes, txs.DropFull, txs.DropTransient, txs.DropOversize)
+	l := d.WireLedger()
+	for c, cl := range l.Cores {
+		if len(l.Cores) > 1 {
+			printWireStats(fmt.Sprintf("core %d ", c), "      ", cl.RX, cl.TX)
 		}
-		arx.Delivered += rxs.Delivered
-		arx.Bytes += rxs.Bytes
-		arx.DropNoBuf += rxs.DropNoBuf
-		arx.DropFull += rxs.DropFull
-		arx.DropRunt += rxs.DropRunt
-		atx.Sent += txs.Sent
-		atx.Bytes += txs.Bytes
-		atx.DropFull += txs.DropFull
-		atx.DropTransient += txs.DropTransient
-		atx.DropOversize += txs.DropOversize
 	}
-	fmt.Printf("rx:             %d frames (%d bytes), drops: nobuf=%d full=%d runt=%d\n",
-		arx.Delivered, arx.Bytes, arx.DropNoBuf, arx.DropFull, arx.DropRunt)
-	fmt.Printf("tx:             %d frames (%d bytes), drops: full=%d transient=%d oversize=%d\n",
-		atx.Sent, atx.Bytes, atx.DropFull, atx.DropTransient, atx.DropOversize)
+	printWireStats("", "             ", l.Total.RX, l.Total.TX)
 	if fanout != nil {
 		fmt.Printf("fanout:         %d bucket migrations, %d socket reopens\n",
 			fanout.Rebalances(), fanout.Reopens())
@@ -467,7 +449,15 @@ func runWire(p *core.Pipeline, base testbed.Options, rxAddr, txAddr, metricsAddr
 	if err := d.Audit(); err != nil {
 		fatal(err)
 	}
-	writeFlows(d.WireFlowRecords(), flowsOut, note)
+	writeFlows(l.Flows, flowsOut, note)
+}
+
+// printWireStats prints the rx and tx lines of the -io wire report.
+func printWireStats(prefix, pad string, rxs nic.RXQueueStats, txs nic.TXQueueStats) {
+	fmt.Printf("%srx:%s%d frames (%d bytes), drops: nobuf=%d full=%d runt=%d\n", prefix, pad,
+		rxs.Delivered, rxs.Bytes, rxs.DropNoBuf, rxs.DropFull, rxs.DropRunt)
+	fmt.Printf("%stx:%s%d frames (%d bytes), drops: full=%d transient=%d oversize=%d\n", prefix, pad,
+		txs.Sent, txs.Bytes, txs.DropFull, txs.DropTransient, txs.DropOversize)
 }
 
 // runPcap mills a capture offline: frames come from a file, traverse the

@@ -69,18 +69,43 @@ type RXQueueStats struct {
 	DropRunt  uint64
 }
 
+// Add accumulates o into s.
+func (s *RXQueueStats) Add(o RXQueueStats) {
+	s.Delivered += o.Delivered
+	s.Bytes += o.Bytes
+	s.DropNoBuf += o.DropNoBuf
+	s.DropFull += o.DropFull
+	s.DropRunt += o.DropRunt
+}
+
 // TXQueueStats scopes the transmit counters to one queue.
 type TXQueueStats struct {
-	Sent     uint64
-	Bytes    uint64
+	Sent  uint64
+	Bytes uint64
+	// DropFull counts Enqueue refusals: the ring was full and the
+	// caller kept the frame, to retry it or to book its loss itself, so
+	// a refusal is not a lost frame.
 	DropFull uint64
 	// DropTransient counts frames lost to transient send errors
 	// (EAGAIN/ENOBUFS on a live wire) that stayed failed after
-	// bounded-backoff retries — distinct from ring-full drops.
+	// bounded-backoff retries.
 	DropTransient uint64
 	// DropOversize counts frames refused at the TX boundary for
 	// exceeding the port MTU — a configuration error, not congestion.
 	DropOversize uint64
+	// DropError counts frames a live wire lost to a hard send error
+	// (the peer overrun or gone).
+	DropError uint64
+}
+
+// Add accumulates o into s.
+func (s *TXQueueStats) Add(o TXQueueStats) {
+	s.Sent += o.Sent
+	s.Bytes += o.Bytes
+	s.DropFull += o.DropFull
+	s.DropTransient += o.DropTransient
+	s.DropOversize += o.DropOversize
+	s.DropError += o.DropError
 }
 
 // MinFrameSize is the smallest frame the MAC accepts (Ethernet's 64-byte
@@ -186,6 +211,10 @@ type Port interface {
 	Reap(nowNS float64, out []*pktbuf.Packet) int
 	// InflightCount reports frames queued but not yet departed.
 	InflightCount() int
+	// HeldCount reports the driver buffers the port holds: posted,
+	// holding a completed reception, or in flight. The buffer audit
+	// reconciles the pools against it.
+	HeldCount() int
 
 	// RXStats/TXStats snapshot the queue counters for telemetry.
 	RXStats() RXQueueStats
@@ -259,6 +288,11 @@ func (qp *QueuePair) Reap(nowNS float64, out []*pktbuf.Packet) int {
 
 // InflightCount implements Port.
 func (qp *QueuePair) InflightCount() int { return qp.tx.InflightCount() }
+
+// HeldCount implements Port: a completion holds its buffer.
+func (qp *QueuePair) HeldCount() int {
+	return qp.PostedCount() + qp.PendingCount() + qp.InflightCount()
+}
 
 // RXStats implements Port.
 func (qp *QueuePair) RXStats() RXQueueStats { return qp.rx.Stats }

@@ -250,10 +250,10 @@ func TestWireFlowsExport(t *testing.T) {
 	}
 	serveDone := make(chan served, 1)
 	go func() {
-		d, _, err := ServeWireGraph(ctx, mustParse(t, nf.ConnTrackForwarder(32, 4096)),
+		d, _, err := ServeWireGraphPerCore(ctx, mustParse(t, nf.ConnTrackForwarder(32, 4096)),
 			Options{Model: click.Copying, Seed: 7, Telemetry: true,
 				Metrics: ms, FlowLog: flowlog.New(flowlog.Config{})},
-			[]nic.Port{dut}, 300*time.Millisecond, 0)
+			[][]nic.Port{{dut}}, 300*time.Millisecond, 0)
 		if err == nil {
 			err = d.Audit()
 		}
@@ -349,12 +349,11 @@ func TestWireFlowsExport(t *testing.T) {
 	}
 
 	// The post-session cut reconciles against the wire's own counters.
-	recs := sv.d.WireFlowRecords()
-	if len(recs) == 0 {
-		t.Fatal("WireFlowRecords returned nothing")
+	l := sv.d.WireLedger()
+	if len(l.Flows) == 0 {
+		t.Fatal("the wire ledger holds no flow records")
 	}
-	drops, txWire := sv.d.wireLedger(sv.d.wireEngines)
-	rec := flowlog.Reconcile(recs, txWire+drops.Total(), txWire, &drops)
+	rec := flowlog.Reconcile(l.Flows, l.Total.Offered(), l.Total.TX.Sent, &l.Total.Drops)
 	if !rec.Exact {
 		t.Fatalf("wire reconciliation inexact: %+v", rec)
 	}

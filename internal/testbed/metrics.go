@@ -1,9 +1,11 @@
-// Live metrics: folding the DUT's counters into trace.Snapshot values
-// for the -metrics HTTP exporter while a wire session is serving. Every
-// counter is single-writer per-core state: the 1-core serve loop owns
-// all of it inline, and the multicore loop quiesces the cores behind the
-// publish gate before snapshotting. Either way a snapshot is built
-// without per-counter locks and published as an immutable value; scrape
+// Live metrics and the wire run ledger. WireLedger folds a wire
+// session's device, PMD, and engine counters into offered/TX/drops
+// once; the -metrics exporter's /metrics, /report and /flows, and the
+// -io wire text report and flow records all render from it. Every
+// counter is single-writer per-core state: the serve loop quiesces the
+// cores behind the publish gate before snapshotting (and has joined
+// them before the final snapshot), so a snapshot is built without
+// per-counter locks and published as an immutable value; scrape
 // handlers only ever read published snapshots.
 package testbed
 
@@ -12,9 +14,9 @@ import (
 	"strconv"
 	"time"
 
-	"packetmill/internal/click"
+	"packetmill/internal/dpdk"
 	"packetmill/internal/flowlog"
-	"packetmill/internal/machine"
+	"packetmill/internal/nic"
 	"packetmill/internal/stats"
 	"packetmill/internal/telemetry"
 	"packetmill/internal/trace"
@@ -25,19 +27,102 @@ import (
 // fresh snapshots to the exporter.
 const metricsInterval = 500 * time.Millisecond
 
+// WireLedger is a wire session's run ledger: each core's queue counters
+// and drop taxonomy, and their merge into session totals.
+type WireLedger struct {
+	// Cores are the per-core ledgers, indexed by core.
+	Cores []WireCoreLedger
+	// Total merges every core; its Queues list every queue in (core,
+	// Click PORT) order.
+	Total WireCoreLedger
+	// E2E merges every port's RX-arrival to TX-departure latency
+	// histogram.
+	E2E *trace.Hist
+	// Flows is the flow-record cut reconciled against Total (nil when
+	// flow logging is not armed).
+	Flows []flowlog.Record
+}
+
+// WireCoreLedger is one core's ledger (or, as WireLedger.Total, the
+// session's). Conservation: Offered() == TX.Sent + Drops.Total() once
+// the session is drained.
+type WireCoreLedger struct {
+	Queues []WireQueue
+	// RX and TX sum the queues' device counters.
+	RX nic.RXQueueStats
+	TX nic.TXQueueStats
+	// Drops attributes every lost frame to one reason: the devices' RX
+	// drops and TX losses (a hard send error books as tx-ring-full), the
+	// PMD ports', and the engine's. TX-ring refusals (TX.DropFull) are
+	// not drops: the engine retries the frame and books a real loss
+	// itself.
+	Drops stats.DropCounters
+}
+
+// WireQueue is one PMD port with the device counters read for the
+// ledger.
+type WireQueue struct {
+	Port *dpdk.Port
+	RX   nic.RXQueueStats
+	TX   nic.TXQueueStats
+}
+
+// Offered is the frames that reached the ledger's devices.
+func (l *WireCoreLedger) Offered() uint64 {
+	return l.RX.Delivered + l.RX.DropNoBuf + l.RX.DropFull + l.RX.DropRunt
+}
+
+// WireLedger reads the current (or last) wire session's ledger. Read it
+// mid-session only with the cores quiesced.
+func (d *DUT) WireLedger() *WireLedger {
+	l := &WireLedger{Cores: make([]WireCoreLedger, len(d.PortsFor)), E2E: trace.NewHist()}
+	for c := range d.PortsFor {
+		cl := &l.Cores[c]
+		for id := 0; id < d.Opts.NICs; id++ {
+			port, ok := d.PortsFor[c][id]
+			if !ok {
+				continue
+			}
+			q := WireQueue{Port: port, RX: port.Dev.RXStats(), TX: port.Dev.TXStats()}
+			cl.Queues = append(cl.Queues, q)
+			cl.RX.Add(q.RX)
+			cl.TX.Add(q.TX)
+			cl.Drops.Add(stats.DropRxNoBuf, q.RX.DropNoBuf)
+			cl.Drops.Add(stats.DropRxRingFull, q.RX.DropFull)
+			cl.Drops.Add(stats.DropRxRunt, q.RX.DropRunt)
+			cl.Drops.Add(stats.DropTxRingFull, q.TX.DropError)
+			cl.Drops.Add(stats.DropTxTransient, q.TX.DropTransient)
+			cl.Drops.Add(stats.DropTxOversize, q.TX.DropOversize)
+			cl.Drops.Merge(&port.Drops)
+			l.E2E.Merge(port.LatHist)
+		}
+		if c < len(d.wireEngines) {
+			if ds, ok := d.wireEngines[c].(dropStatser); ok {
+				cl.Drops.Merge(ds.DropStats())
+			}
+		}
+		l.Total.Queues = append(l.Total.Queues, cl.Queues...)
+		l.Total.RX.Add(cl.RX)
+		l.Total.TX.Add(cl.TX)
+		l.Total.Drops.Merge(&cl.Drops)
+	}
+	l.Flows = d.Opts.FlowLog.Records(&l.Total.Drops, l.Total.TX.Sent)
+	return l
+}
+
 // publishMetrics builds and publishes a snapshot when the exporter is
 // attached; a no-op otherwise.
-func (d *DUT) publishMetrics(engines []Engine, elapsed time.Duration) {
+func (d *DUT) publishMetrics(elapsed time.Duration) {
 	if d.Opts.Metrics == nil {
 		return
 	}
-	d.Opts.Metrics.Publish(d.wireSnapshot(engines, elapsed))
+	d.Opts.Metrics.Publish(d.wireSnapshot(elapsed))
 }
 
 // wireSnapshot assembles the exporter view: port counters, the drop
 // taxonomy, queue depths, latency and per-element duration histograms,
 // and the full telemetry report as JSON for /report.
-func (d *DUT) wireSnapshot(engines []Engine, elapsed time.Duration) *trace.Snapshot {
+func (d *DUT) wireSnapshot(elapsed time.Duration) *trace.Snapshot {
 	snap := &trace.Snapshot{}
 	add := func(name, help, typ string, labels [][2]string, v float64) {
 		snap.Samples = append(snap.Samples, trace.Sample{
@@ -49,70 +134,51 @@ func (d *DUT) wireSnapshot(engines []Engine, elapsed time.Duration) *trace.Snaps
 
 	// Port counters and queue depths, in (core, port id) order so the
 	// exposition text is deterministic.
-	var drops stats.DropCounters
-	e2e := trace.NewHist()
-	for c := range d.PortsFor {
-		for id := 0; id < d.Opts.NICs; id++ {
-			port, ok := d.PortsFor[c][id]
-			if !ok {
-				continue
-			}
-			rxs := port.Dev.RXStats()
-			txs := port.Dev.TXStats()
-			pl := [][2]string{
-				{"port", port.Dev.PortName()},
-				{"queue", strconv.Itoa(port.Dev.QueueID())},
-			}
-			add("packetmill_rx_packets_total", "Frames the NIC delivered to the PMD.",
-				"counter", pl, float64(rxs.Delivered))
-			add("packetmill_rx_bytes_total", "Bytes the NIC delivered to the PMD.",
-				"counter", pl, float64(rxs.Bytes))
-			add("packetmill_tx_packets_total", "Frames sent on the wire.",
-				"counter", pl, float64(txs.Sent))
-			add("packetmill_tx_bytes_total", "Bytes sent on the wire.",
-				"counter", pl, float64(txs.Bytes))
-			add("packetmill_polls_total", "PMD receive polls.",
-				"counter", pl, float64(port.Stats.Polls))
-			add("packetmill_empty_polls_total", "PMD receive polls that found nothing.",
-				"counter", pl, float64(port.Stats.EmptyPolls))
-			for _, g := range [...]struct {
-				ring string
-				n    int
-			}{
-				{"posted_rx", port.Dev.PostedCount()},
-				{"pending_rx", port.Dev.PendingCount()},
-				{"inflight_tx", port.Dev.InflightCount()},
-			} {
-				add("packetmill_queue_depth",
-					"Descriptors currently held in a device ring.", "gauge",
-					[][2]string{pl[0], pl[1], {"ring", g.ring}}, float64(g.n))
-			}
-			if cb, ok := d.bindings[port].(*xchg.CustomBinding); ok {
-				add("packetmill_xchg_desc_outstanding",
-					"X-Change descriptors currently attached to buffers.",
-					"gauge", pl, float64(cb.Pool.Outstanding()))
-				add("packetmill_xchg_desc_max_outstanding",
-					"High-water mark of attached X-Change descriptors.",
-					"gauge", pl, float64(cb.Pool.MaxOutstanding))
-				add("packetmill_xchg_desc_get_fails_total",
-					"X-Change descriptor pool exhaustion events.",
-					"counter", pl, float64(cb.Pool.GetFails))
-			}
-			drops.Add(stats.DropRxNoBuf, rxs.DropNoBuf)
-			drops.Add(stats.DropRxRingFull, rxs.DropFull)
-			drops.Add(stats.DropRxRunt, rxs.DropRunt)
-			drops.Add(stats.DropTxRingFull, txs.DropFull)
-			drops.Add(stats.DropTxTransient, txs.DropTransient)
-			drops.Add(stats.DropTxOversize, txs.DropOversize)
-			drops.Merge(&port.Drops)
-			e2e.Merge(port.LatHist)
+	l := d.WireLedger()
+	for _, q := range l.Total.Queues {
+		port := q.Port
+		pl := [][2]string{
+			{"port", port.Dev.PortName()},
+			{"queue", strconv.Itoa(port.Dev.QueueID())},
+		}
+		add("packetmill_rx_packets_total", "Frames the NIC delivered to the PMD.",
+			"counter", pl, float64(q.RX.Delivered))
+		add("packetmill_rx_bytes_total", "Bytes the NIC delivered to the PMD.",
+			"counter", pl, float64(q.RX.Bytes))
+		add("packetmill_tx_packets_total", "Frames sent on the wire.",
+			"counter", pl, float64(q.TX.Sent))
+		add("packetmill_tx_bytes_total", "Bytes sent on the wire.",
+			"counter", pl, float64(q.TX.Bytes))
+		add("packetmill_polls_total", "PMD receive polls.",
+			"counter", pl, float64(port.Stats.Polls))
+		add("packetmill_empty_polls_total", "PMD receive polls that found nothing.",
+			"counter", pl, float64(port.Stats.EmptyPolls))
+		for _, g := range [...]struct {
+			ring string
+			n    int
+		}{
+			{"posted_rx", port.Dev.PostedCount()},
+			{"pending_rx", port.Dev.PendingCount()},
+			{"inflight_tx", port.Dev.InflightCount()},
+		} {
+			add("packetmill_queue_depth",
+				"Descriptors currently held in a device ring.", "gauge",
+				[][2]string{pl[0], pl[1], {"ring", g.ring}}, float64(g.n))
+		}
+		if cb, ok := d.bindings[port].(*xchg.CustomBinding); ok {
+			add("packetmill_xchg_desc_outstanding",
+				"X-Change descriptors currently attached to buffers.",
+				"gauge", pl, float64(cb.Pool.Outstanding()))
+			add("packetmill_xchg_desc_max_outstanding",
+				"High-water mark of attached X-Change descriptors.",
+				"gauge", pl, float64(cb.Pool.MaxOutstanding))
+			add("packetmill_xchg_desc_get_fails_total",
+				"X-Change descriptor pool exhaustion events.",
+				"counter", pl, float64(cb.Pool.GetFails))
 		}
 	}
 	backlog := 0
-	for _, e := range engines {
-		if ds, ok := e.(dropStatser); ok {
-			drops.Merge(ds.DropStats())
-		}
+	for _, e := range d.wireEngines {
 		if tb, ok := e.(txBacklogger); ok {
 			backlog += tb.TxBacklog()
 		}
@@ -143,12 +209,11 @@ func (d *DUT) wireSnapshot(engines []Engine, elapsed time.Duration) *trace.Snaps
 	// Flow tables, one series set per tracking element (families appear
 	// only when a stateful element is in the graph, so configs without
 	// one keep their exposition unchanged).
-	for c, eng := range engines {
-		ce, ok := eng.(*clickEngine)
-		if !ok {
+	for c, rt := range routersOf(d.wireEngines) {
+		if rt == nil {
 			continue
 		}
-		for _, inst := range ce.rt.Instances {
+		for _, inst := range rt.Instances {
 			fr, ok := inst.El.(telemetry.FlowReporter)
 			if !ok {
 				continue
@@ -190,22 +255,12 @@ func (d *DUT) wireSnapshot(engines []Engine, elapsed time.Duration) *trace.Snaps
 	// a stable family the moment the endpoint comes up.
 	for r := stats.DropReason(0); r < stats.NumDropReasons; r++ {
 		add("packetmill_drops_total", "Frames lost, by drop taxonomy reason.",
-			"counter", [][2]string{{"reason", r.String()}}, float64(drops.Get(r)))
+			"counter", [][2]string{{"reason", r.String()}}, float64(l.Total.Drops.Get(r)))
 	}
 	// Flow records: verdict roll-ups, top flows, and the /flows body
 	// (families appear only when flow logging is armed).
-	var flowRecs []flowlog.Record
 	if d.Opts.FlowLog != nil {
-		var txWire uint64
-		for c := range d.PortsFor {
-			for id := 0; id < d.Opts.NICs; id++ {
-				if port, ok := d.PortsFor[c][id]; ok {
-					txWire += port.Dev.TXStats().Sent
-				}
-			}
-		}
-		flowRecs = d.Opts.FlowLog.Records(&drops, txWire)
-		sum := flowlog.Summarize(flowRecs)
+		sum := flowlog.Summarize(l.Flows)
 		// One family at a time: the exposition format requires a family's
 		// samples to stay contiguous.
 		for v := flowlog.Verdict(0); v < flowlog.NumVerdicts; v++ {
@@ -230,7 +285,7 @@ func (d *DUT) wireSnapshot(engines []Engine, elapsed time.Duration) *trace.Snaps
 		add("packetmill_flow_latency_misses_total",
 			"TX depart-hook samples whose flow was no longer in any table.",
 			"counter", nil, float64(misses))
-		for rank, t := range flowlog.TopByBytes(flowRecs, 5) {
+		for rank, t := range flowlog.TopByBytes(l.Flows, 5) {
 			add("packetmill_flow_top_bytes", "Largest flows of the current cut, by bytes.",
 				"gauge", [][2]string{
 					{"rank", strconv.Itoa(rank + 1)},
@@ -238,14 +293,14 @@ func (d *DUT) wireSnapshot(engines []Engine, elapsed time.Duration) *trace.Snaps
 					{"verdict", t.Verdict.String()},
 				}, float64(t.Bytes))
 		}
-		snap.FlowsJSONL = flowlog.JSONL(flowRecs)
+		snap.FlowsJSONL = flowlog.JSONL(l.Flows)
 	}
 
-	if e2e.Count() > 0 {
+	if l.E2E.Count() > 0 {
 		snap.Hists = append(snap.Hists, trace.PromHist(
 			"packetmill_latency_seconds",
 			"One-way RX-arrival to TX-departure latency through the DUT.",
-			nil, e2e))
+			nil, l.E2E))
 	}
 	for c, t := range d.Trackers {
 		for _, b := range t.Buckets() {
@@ -263,111 +318,42 @@ func (d *DUT) wireSnapshot(engines []Engine, elapsed time.Duration) *trace.Snaps
 		}
 	}
 
-	snap.ReportJSON = d.wireReportJSON(engines, elapsed, &drops, e2e, flowRecs)
+	snap.ReportJSON = d.wireReportJSON(l, elapsed)
 	return snap
-}
-
-// wireLedger folds the wire session's device, PMD, and engine drop
-// counters into one ledger plus the wire TX total — the denominators
-// the flow log reconciles against.
-func (d *DUT) wireLedger(engines []Engine) (stats.DropCounters, uint64) {
-	var drops stats.DropCounters
-	var txWire uint64
-	for c := range d.PortsFor {
-		for id := 0; id < d.Opts.NICs; id++ {
-			port, ok := d.PortsFor[c][id]
-			if !ok {
-				continue
-			}
-			rxs, txs := port.Dev.RXStats(), port.Dev.TXStats()
-			txWire += txs.Sent
-			drops.Add(stats.DropRxNoBuf, rxs.DropNoBuf)
-			drops.Add(stats.DropRxRingFull, rxs.DropFull)
-			drops.Add(stats.DropRxRunt, rxs.DropRunt)
-			drops.Add(stats.DropTxRingFull, txs.DropFull)
-			drops.Add(stats.DropTxTransient, txs.DropTransient)
-			drops.Add(stats.DropTxOversize, txs.DropOversize)
-			drops.Merge(&port.Drops)
-		}
-	}
-	for _, e := range engines {
-		if ds, ok := e.(dropStatser); ok {
-			drops.Merge(ds.DropStats())
-		}
-	}
-	return drops, txWire
-}
-
-// WireFlowRecords assembles the flow-record cut of a finished wire
-// session, reconciled against the session's drop ledger and TX total.
-// Nil when flow logging is not armed.
-func (d *DUT) WireFlowRecords() []flowlog.Record {
-	if d.Opts.FlowLog == nil {
-		return nil
-	}
-	drops, txWire := d.wireLedger(d.wireEngines)
-	return d.Opts.FlowLog.Records(&drops, txWire)
 }
 
 // wireReportJSON renders the same telemetry.Report a -report json run
 // would emit, against the session so far, for the exporter's /report
 // endpoint. Returns nil (the exporter serves "{}") when telemetry is off.
-func (d *DUT) wireReportJSON(engines []Engine, elapsed time.Duration,
-	drops *stats.DropCounters, e2e *trace.Hist, flowRecs []flowlog.Record) []byte {
+func (d *DUT) wireReportJSON(l *WireLedger, elapsed time.Duration) []byte {
 	if !d.Opts.Telemetry {
 		return nil
 	}
-	res := &Result{Latency: stats.NewLatencyRecorder(1)}
+	res := &Result{
+		Offered:       l.Total.Offered(),
+		TxWire:        l.Total.TX.Sent,
+		Dropped:       l.Total.Drops.Total(),
+		DropsByReason: l.Total.Drops,
+		Flows:         l.Flows,
+		// Engine index == core index on every wire path, so non-Click
+		// engines keep nil placeholders to preserve the mapping.
+		Routers: routersOf(d.wireEngines),
+	}
+	res.Packets, res.Bytes = l.Total.TX.Sent, l.Total.TX.Bytes
 	res.Duration = float64(elapsed)
-	// Engine index == core index on every wire path, so keep nil
-	// placeholders for non-Click engines to preserve the mapping.
-	for _, e := range engines {
-		var rt *click.Router
-		if ce, ok := e.(*clickEngine); ok {
-			rt = ce.rt
-		}
-		res.Routers = append(res.Routers, rt)
-	}
-	var agg machine.Counters
-	for c := range d.PortsFor {
-		for id := 0; id < d.Opts.NICs; id++ {
-			port, ok := d.PortsFor[c][id]
-			if !ok {
-				continue
-			}
-			rxs := port.Dev.RXStats()
-			txs := port.Dev.TXStats()
-			res.Offered += rxs.Delivered + rxs.DropNoBuf + rxs.DropFull + rxs.DropRunt
-			res.Packets += txs.Sent
-			res.Bytes += txs.Bytes
-			res.TxWire += txs.Sent
-		}
-	}
-	res.DropsByReason = *drops
-	res.Dropped = drops.Total()
-	res.Flows = flowRecs
 	for _, ctl := range d.Ctls {
 		res.Overload = append(res.Overload, ctl.Status(float64(elapsed)))
 	}
 	for _, c := range d.Cores {
-		ct := c.Snapshot()
+		ct, agg := c.Snapshot(), &res.Counters
 		agg.Instructions += ct.Instructions
 		agg.BusyCycles += ct.BusyCycles
 		agg.TLBMisses += ct.TLBMisses
 		agg.LLCLoads += ct.LLCLoads
 		agg.LLCLoadMisses += ct.LLCLoadMisses
-		if ct.WallNS > agg.WallNS {
-			agg.WallNS = ct.WallNS
-		}
+		agg.WallNS = max(agg.WallNS, ct.WallNS)
 	}
-	res.Counters = agg
-	r := d.buildReport(res, res.Latency, e2e, nil)
-	// The recorder is empty on the wire path; the histogram carries the
-	// exact extremes too, so take the whole digest from it.
-	if e2e.Count() > 0 {
-		r.LatencyUS = telemetry.LatencyFromHist(e2e)
-	}
-	out, err := json.Marshal(r)
+	out, err := json.Marshal(d.buildReport(res, nil, l.E2E, nil))
 	if err != nil {
 		return nil
 	}

@@ -13,7 +13,8 @@ import (
 	"packetmill/internal/trace"
 )
 
-// buildReport assembles the telemetry report after a driven run. Core and
+// buildReport assembles the telemetry report after a driven run (lat may
+// be nil: the latency digest then comes from e2e alone). Core and
 // span numbers cover the whole run (trackers attribute from time zero, so
 // the coverage self-check is exact); Totals keeps the measurement-window
 // view the text reports use.
@@ -55,26 +56,18 @@ func (d *DUT) buildReport(res *Result, lat *stats.LatencyRecorder, e2e *trace.Hi
 	}
 
 	// Latency: full-run totals (see telemetry.LatencyUS for the unit
-	// contract). The histogram covers every post-warmup departure, so
-	// its percentiles are exact up to bucket width; count/min/mean/max
-	// come from the recorder's exact accumulators. The recorder's
-	// reservoir percentiles remain only as the fallback when the
-	// histogram is absent.
-	s := lat.Summarize()
-	r.LatencyUS = telemetry.LatencyUS{
-		Count: s.Count,
-		Min:   stats.MicrosFromNS(s.Min),
-		Mean:  stats.MicrosFromNS(s.Mean),
-		P50:   stats.MicrosFromNS(s.P50),
-		P90:   stats.MicrosFromNS(s.P90),
-		P99:   stats.MicrosFromNS(s.P99),
-		P999:  stats.MicrosFromNS(s.P999),
-		Max:   stats.MicrosFromNS(s.Max),
-	}
-	if e2e.Count() > 0 {
-		h := telemetry.LatencyFromHist(e2e)
-		r.LatencyUS.P50, r.LatencyUS.P90 = h.P50, h.P90
-		r.LatencyUS.P99, r.LatencyUS.P999 = h.P99, h.P999
+	// contract). The histogram covers every post-warmup departure, so its
+	// percentiles are exact up to bucket width and its count and extremes
+	// exact; with no recorder (the wire path) the whole digest is its. A
+	// recorder supplies count/min/mean/max from its exact accumulators,
+	// and its reservoir percentiles only when the histogram is empty.
+	r.LatencyUS = telemetry.LatencyFromHist(e2e)
+	if lat != nil {
+		s, l, us := lat.Summarize(), &r.LatencyUS, stats.MicrosFromNS
+		l.Count, l.Min, l.Mean, l.Max = s.Count, us(s.Min), us(s.Mean), us(s.Max)
+		if e2e.Count() == 0 {
+			l.P50, l.P90, l.P99, l.P999 = us(s.P50), us(s.P90), us(s.P99), us(s.P999)
+		}
 	}
 
 	// Per-core ledgers, full run: the span trackers started at time zero,

@@ -253,13 +253,12 @@ type DUT struct {
 	// BuildRouters installs them into the routers.
 	Ctls []*overload.Controller
 	// wireEngines is the engine set of the current/last wire session,
-	// kept so post-session readers (WireFlowRecords) can fold engine
-	// drop ledgers without re-threading the slice.
+	// whose drop ledgers WireLedger folds in.
 	wireEngines []Engine
 }
 
-// machFor returns core c's machine: its own on the multicore wire path,
-// the shared one everywhere else.
+// machFor returns core c's machine: its own on the wire path, the
+// shared one everywhere else.
 func (d *DUT) machFor(c int) *machine.Machine {
 	if c < len(d.Machs) {
 		return d.Machs[c]
@@ -684,6 +683,18 @@ func (e *clickEngine) DrainRestart(core *machine.Core, now float64) int {
 	return n
 }
 
+// routersOf maps engines to their Click routers, index for index, with
+// nil for an engine that is not a Click graph.
+func routersOf(engines []Engine) []*click.Router {
+	rts := make([]*click.Router, len(engines))
+	for i, e := range engines {
+		if ce, ok := e.(*clickEngine); ok {
+			rts[i] = ce.rt
+		}
+	}
+	return rts
+}
+
 // dropStatser, txBacklogger, occupier, and drainRestarter are the
 // optional engine interfaces the harness aggregates over.
 type dropStatser interface{ DropStats() *stats.DropCounters }
@@ -745,7 +756,7 @@ func (d *DUT) Audit() error {
 	held := 0
 	for _, ports := range d.PortsFor {
 		for _, port := range ports {
-			held += port.Dev.PostedCount() + port.Dev.PendingCount() + port.Dev.InflightCount()
+			held += port.Dev.HeldCount()
 		}
 	}
 	if d.Opts.Model == click.XChange {
@@ -1302,13 +1313,7 @@ func (dr *driver) run() (*Result, error) {
 		// Callers that drive engines directly (without Run) still get the
 		// per-element report sections keyed off the routers.
 		if res.Routers == nil {
-			for _, e := range engines {
-				var rt *click.Router
-				if ce, ok := e.(*clickEngine); ok {
-					rt = ce.rt
-				}
-				res.Routers = append(res.Routers, rt)
-			}
+			res.Routers = routersOf(engines)
 		}
 		res.Telemetry = d.buildReport(res, dr.lat, dr.e2e, dr.intervals)
 	}

@@ -10,14 +10,16 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"packetmill/internal/click"
 	"packetmill/internal/nf"
-	"packetmill/internal/nic"
 	"packetmill/internal/pktbuf"
+	"packetmill/internal/telemetry"
 	"packetmill/internal/trace"
 	"packetmill/internal/wire"
 )
@@ -111,82 +113,97 @@ func TestTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestWireMetricsScrape serves a mirror NF on a live loopback wire with
-// the exporter attached, pushes traffic through, and scrapes /metrics
-// and /report afterwards. The exported families must match the golden
-// list (testdata/metrics.golden) — dashboards key on those names.
+// TestWireMetricsScrape serves a mirror NF on live loopback wires with
+// the exporter attached, pushes bursts through, and scrapes /metrics and
+// /report afterwards, at one core and at two (where the publish gate
+// quiesces concurrent cores: the session outlasts one publish interval).
+// The exported families must match the golden list
+// (testdata/metrics.golden) — dashboards key on those names. The DUT's
+// TX ring holds 4 frames, so bursts make it refuse frames the engine
+// retries: the ledger must balance offered == tx + drops on every core
+// and in total without booking those refusals as drops, and /metrics and
+// /report must both agree with it.
 func TestWireMetricsScrape(t *testing.T) {
-	const nFrames = 300
-	gen, dut, err := wire.Loopback(
-		wire.Config{Name: "gen", RXRing: 1024, TXRing: 1024},
-		wire.Config{Name: "dut", RXRing: 1024, TXRing: 1024})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		cores int
+		model click.MetadataModel
+	}{
+		{1, click.Copying},
+		{1, click.XChange},
+		{2, click.Copying},
+		{2, click.XChange},
+	} {
+		t.Run(fmt.Sprintf("cores=%d/%s", tc.cores, tc.model), func(t *testing.T) {
+			wireMetricsScrape(t, tc.cores, tc.model)
+		})
 	}
-	defer gen.Close()
-	defer dut.Close()
+}
 
+func wireMetricsScrape(t *testing.T, cores int, model click.MetadataModel) {
+	const nFrames, burst = 300, 32
 	ms, err := trace.NewMetricsServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ms.Close()
 	rec := trace.NewRecorder(trace.Config{SampleEvery: 1, Seed: 7})
+	d, engs, gens := buildWireMirrorRig(t, cores, 4, Options{
+		Model: model, Seed: 7, Telemetry: true, Metrics: ms, Trace: rec,
+	})
+	engines := make([]Engine, len(engs))
+	for i, e := range engs {
+		engines[i] = e
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	serveDone := make(chan error, 1)
 	go func() {
-		d, _, err := ServeWireGraph(ctx, mustParse(t, nf.Mirror(0, 32)),
-			Options{Model: click.Copying, Seed: 7, Telemetry: true,
-				Metrics: ms, Trace: rec},
-			[]nic.Port{dut}, 300*time.Millisecond, 0)
-		if err == nil {
-			err = d.Audit()
-		}
+		_, err := d.ServeWire(ctx, engines, 600*time.Millisecond, 0)
 		serveDone <- err
 	}()
-
-	for i := 0; i < nFrames+32; i++ {
-		if err := gen.Post(pktbuf.NewPacket(make([]byte, 2300), 0, 128)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	frames := campusFrames(nFrames)
-	tx := pktbuf.NewPacket(make([]byte, 2300), 0, 128)
-	reap := make([]*pktbuf.Packet, 1)
-	for _, frame := range frames {
-		tx.Reset(tx.OrigHeadroom())
-		tx.SetFrame(frame)
-		if !gen.Enqueue(nil, tx, 0) {
-			t.Fatal("generator Enqueue refused")
-		}
-		gen.Flush()
-		deadline := time.Now().Add(5 * time.Second)
-		for gen.Reap(0, reap) == 0 {
-			if time.Now().After(deadline) {
-				t.Fatal("generator TX buffer never came back")
+	frames := campusFrames(cores * nFrames)
+	var wg sync.WaitGroup
+	for c := 0; c < cores; c++ {
+		for i := 0; i < nFrames+32; i++ {
+			if err := gens[c].Post(pktbuf.NewPacket(make([]byte, 2300), 0, 128)); err != nil {
+				t.Fatal(err)
 			}
-			runtime.Gosched()
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := sendBursts(gens[c], frames[c*nFrames:(c+1)*nFrames], burst); err != nil {
+				t.Errorf("core %d generator: %v", c, err)
+			}
+		}()
 	}
-	// Drain the mirrored frames so the DUT's TX ring empties.
-	pkts := make([]*pktbuf.Packet, 32)
-	descs := make([]nic.Descriptor, 32)
-	got := 0
-	deadline := time.Now().Add(20 * time.Second)
-	for got < nFrames && time.Now().Before(deadline) {
-		n := gen.Poll(nil, 0, len(pkts), pkts, descs)
-		got += n
-		if n == 0 {
-			runtime.Gosched()
-		}
-	}
+	wg.Wait()
 	if err := <-serveDone; err != nil {
 		t.Fatalf("wire serve: %v", err)
 	}
+	if err := d.Audit(); err != nil {
+		t.Fatalf("audit: %v", err)
+	}
 
-	// /metrics: every golden family must be present.
+	// The ledger balances per core and in total, and counts no refusal.
+	l := d.WireLedger()
+	if l.Total.TX.DropFull == 0 {
+		t.Fatal("the DUT TX ring never refused a frame; the case exercises nothing")
+	}
+	for c, cl := range l.Cores {
+		if got := cl.Offered(); got != nFrames || got != cl.TX.Sent+cl.Drops.Total() {
+			t.Errorf("core %d: offered %d (sent %d) != tx %d + drops %d [%s]; %d TX refusals",
+				c, got, nFrames, cl.TX.Sent, cl.Drops.Total(), cl.Drops.String(), cl.TX.DropFull)
+		}
+	}
+	offered, txWire, dropped := l.Total.Offered(), l.Total.TX.Sent, l.Total.Drops.Total()
+	if offered != uint64(cores*nFrames) || offered != txWire+dropped {
+		t.Errorf("total: offered %d (sent %d) != tx %d + drops %d", offered, cores*nFrames, txWire, dropped)
+	}
+
+	// /metrics: every golden family is present, and the TX and drop sums
+	// are the ledger's.
 	body := httpGet(t, "http://"+ms.Addr()+"/metrics")
 	golden, err := os.ReadFile("testdata/metrics.golden")
 	if err != nil {
@@ -200,11 +217,19 @@ func TestWireMetricsScrape(t *testing.T) {
 	if !strings.Contains(body, `packetmill_drops_total{reason="tx-ring-full"} `) {
 		t.Error("/metrics drop taxonomy is missing the tx-ring-full reason")
 	}
+	if got := promSum(t, body, "packetmill_tx_packets_total"); got != txWire {
+		t.Errorf("/metrics packetmill_tx_packets_total sums to %d, ledger tx %d", got, txWire)
+	}
+	if got := promSum(t, body, "packetmill_drops_total"); got != dropped {
+		t.Errorf("/metrics packetmill_drops_total sums to %d, ledger drops %d", got, dropped)
+	}
 
-	// /report: the same document a -report json run prints.
+	// /report: the same document a -report json run prints, with the
+	// ledger's totals.
 	var rep struct {
-		Schema    string `json:"schema"`
-		LatencyUS struct {
+		Schema string           `json:"schema"`
+		Totals telemetry.Totals `json:"totals"`
+		Lat    struct {
 			Count uint64 `json:"count"`
 		} `json:"latency_us"`
 	}
@@ -214,8 +239,12 @@ func TestWireMetricsScrape(t *testing.T) {
 	if rep.Schema == "" {
 		t.Error("/report has no schema field")
 	}
-	if rep.LatencyUS.Count == 0 {
+	if rep.Lat.Count == 0 {
 		t.Error("/report latency histogram is empty after a served session")
+	}
+	if tot := rep.Totals; tot.Offered != offered || tot.TxWire != txWire || tot.Dropped != dropped {
+		t.Errorf("/report totals offered %d tx %d dropped %d, ledger %d %d %d",
+			tot.Offered, tot.TxWire, tot.Dropped, offered, txWire, dropped)
 	}
 
 	// The flight recorder ran on the wall clock and sampled the traffic.
@@ -225,6 +254,53 @@ func TestWireMetricsScrape(t *testing.T) {
 	if err := json.Unmarshal(rec.ChromeJSON(), &struct{}{}); err != nil {
 		t.Errorf("wire trace is not valid JSON: %v", err)
 	}
+}
+
+// sendBursts writes frames onto gen in bursts of up to burst frames, one
+// doorbell each, and waits for each burst's buffers to come back.
+func sendBursts(gen *wire.Port, frames [][]byte, burst int) error {
+	bufs := make([]*pktbuf.Packet, burst)
+	for i := range bufs {
+		bufs[i] = pktbuf.NewPacket(make([]byte, 2300), 0, 128)
+	}
+	for len(frames) > 0 {
+		n := min(burst, len(frames))
+		for i, f := range frames[:n] {
+			bufs[i].Reset(bufs[i].OrigHeadroom())
+			bufs[i].SetFrame(f)
+			if !gen.Enqueue(nil, bufs[i], 0) {
+				return fmt.Errorf("Enqueue refused")
+			}
+		}
+		gen.Flush()
+		deadline := time.Now().Add(5 * time.Second)
+		for got := 0; got < n; got += gen.Reap(0, bufs[got:n]) {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("%d of %d TX buffers never came back", n-got, n)
+			}
+			runtime.Gosched()
+		}
+		frames = frames[n:]
+	}
+	return nil
+}
+
+// promSum sums every sample of the named family in a text exposition.
+func promSum(t *testing.T, body, name string) uint64 {
+	t.Helper()
+	var sum float64
+	for _, line := range strings.Split(body, "\n") {
+		rest, ok := strings.CutPrefix(line, name)
+		if !ok || rest == "" || (rest[0] != '{' && rest[0] != ' ') {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("/metrics line %q: %v", line, err)
+		}
+		sum += v
+	}
+	return uint64(sum)
 }
 
 func mustParse(t *testing.T, config string) *click.Graph {

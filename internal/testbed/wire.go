@@ -5,13 +5,14 @@
 // calendar) and the exit condition (idle timeout or packet budget
 // instead of a drained traffic source).
 //
-// Multicore serving is the paper's run-to-completion model made literal:
-// core c owns its queue pairs, its pktbuf pools, its span tracker, its
-// overload controller, its Click graph replica, and its own simulated
-// machine — zero shared mutable state on the hot path. The goroutines
-// meet only at an atomic stop flag, padded per-core progress counters
-// the coordinator sums, and (when a metrics exporter is attached) a
-// publish gate that briefly quiesces the cores for a snapshot.
+// Serving is the paper's run-to-completion model made literal, and one
+// core is just N=1: core c owns its queue pairs, its pktbuf pools, its
+// span tracker, its overload controller, its Click graph replica, and
+// its own simulated machine — zero shared mutable state on the hot
+// path. The per-core loops meet only at an atomic stop flag, padded
+// per-core progress counters the coordinator sums, and (when a metrics
+// exporter is attached) a publish gate that briefly quiesces the cores
+// for a snapshot.
 package testbed
 
 import (
@@ -31,16 +32,6 @@ import (
 	"packetmill/internal/telemetry"
 	"packetmill/internal/xchg"
 )
-
-// NewWireDUT assembles a single-core DUT whose PMD ports sit on the
-// given live devices (internal/wire ports) instead of simulated
-// adapters. Device i appears as Click PORT i.
-func NewWireDUT(o Options, devs []nic.Port) (*DUT, error) {
-	if len(devs) == 0 {
-		return nil, fmt.Errorf("testbed: wire DUT needs at least one device")
-	}
-	return NewWireDUTPerCore(o, [][]nic.Port{devs})
-}
 
 // NewWireDUTPerCore assembles an N-core wire DUT: devsPerCore[c][i] is
 // core c's own queue pair appearing as Click PORT i — typically queue c
@@ -107,92 +98,6 @@ type WireServeStats struct {
 	Packets uint64
 }
 
-// ServeWire drives the engines against wall-clock time until ctx is
-// canceled, the engines have moved maxPackets packets (0 = no budget),
-// or the datapath has been idle for idleExit (0 = no idle exit). On a
-// normal exit it drains in-flight transmissions so a post-run Audit
-// balances. One engine runs the classic inline loop; several run one
-// goroutine per core, run to completion, with a coordinator watching
-// the exit conditions.
-func (d *DUT) ServeWire(ctx context.Context, engines []Engine,
-	idleExit time.Duration, maxPackets uint64) (WireServeStats, error) {
-	if len(engines) != len(d.Cores) {
-		return WireServeStats{}, fmt.Errorf("testbed: %d engines for %d cores", len(engines), len(d.Cores))
-	}
-	d.wireEngines = engines
-	if len(engines) > 1 {
-		return d.serveWireMulti(ctx, engines, idleExit, maxPackets)
-	}
-	start := time.Now()
-	lastWork := start
-	// On the wire the flight recorder timestamps events with wall time
-	// (the simulated calendar does not advance against real sockets).
-	if d.Opts.Trace != nil {
-		for _, ct := range d.Opts.Trace.Cores() {
-			ct.SetClock(func() float64 { return float64(time.Since(start)) })
-		}
-	}
-	lastPublish := start
-	// Overload observation on the wire runs against the wall clock; the
-	// cadence is the same dwell-derived fraction the simulated driver uses.
-	var obsEveryNS float64
-	var nextObsNS []float64
-	var obsPolls, obsEmpty []uint64
-	if len(d.Ctls) > 0 {
-		obsEveryNS = d.Ctls[0].DwellNS() / 4
-		if obsEveryNS <= 0 {
-			obsEveryNS = 12.5e3
-		}
-		nextObsNS = make([]float64, len(engines))
-		obsPolls = make([]uint64, len(engines))
-		obsEmpty = make([]uint64, len(engines))
-	}
-	var st WireServeStats
-	for {
-		select {
-		case <-ctx.Done():
-			d.drainWire(engines, start)
-			d.publishMetrics(engines, time.Since(start))
-			return st, ctx.Err()
-		default:
-		}
-		now := float64(time.Since(start))
-		for i := range nextObsNS {
-			if i < len(d.Ctls) && now >= nextObsNS[i] {
-				nextObsNS[i] = now + obsEveryNS
-				d.observeCore(engines[i], i, now, &obsPolls[i], &obsEmpty[i])
-			}
-		}
-		moved := 0
-		for i, e := range engines {
-			moved += e.Step(d.Cores[i], now)
-		}
-		st.Steps++
-		if d.Opts.Metrics != nil && time.Since(lastPublish) >= metricsInterval {
-			lastPublish = time.Now()
-			d.publishMetrics(engines, time.Since(start))
-		}
-		if moved > 0 {
-			st.Packets += uint64(moved)
-			lastWork = time.Now()
-			if maxPackets > 0 && st.Packets >= maxPackets {
-				break
-			}
-			continue
-		}
-		if idleExit > 0 && time.Since(lastWork) > idleExit {
-			break
-		}
-		// An empty poll on a live wire should not spin a core flat out.
-		runtime.Gosched()
-	}
-	d.drainWire(engines, start)
-	// A final snapshot so a scrape after the session (the CI check does
-	// this) sees the totals, not a half-second-old view.
-	d.publishMetrics(engines, time.Since(start))
-	return st, nil
-}
-
 // coreProgress is the slice of serving state one core shares with the
 // coordinator, padded past a cache line so neighboring cores' counters
 // never false-share.
@@ -205,21 +110,30 @@ type coreProgress struct {
 	_        [104]byte
 }
 
-// serveWireMulti is the N-core serve loop: one run-to-completion
-// goroutine per core, each stepping only its own engine, ports, tracker,
-// and overload controller against its own machine. A coordinator sums
-// the per-core progress counters every millisecond to enforce the packet
-// budget and the idle exit (idleness means every core has been idle),
-// and — when an exporter is attached — takes the publish gate's write
-// side so snapshots read quiescent counters.
-func (d *DUT) serveWireMulti(ctx context.Context, engines []Engine,
+// ServeWire drives the engines against wall-clock time until ctx is
+// canceled, the engines have moved maxPackets packets (0 = no budget),
+// or every core has been idle for idleExit (0 = no idle exit), then
+// drains in-flight transmissions so a post-run Audit balances. Every
+// core runs the same loop: core 0 on the calling goroutine (a caller
+// that pinned its thread keeps the loop pinned), cores 1..N-1 on their
+// own. A coordinator goroutine enforces the exits from the per-core
+// progress counters and publishes exporter snapshots.
+func (d *DUT) ServeWire(ctx context.Context, engines []Engine,
 	idleExit time.Duration, maxPackets uint64) (WireServeStats, error) {
+	if len(engines) != len(d.Cores) {
+		return WireServeStats{}, fmt.Errorf("testbed: %d engines for %d cores", len(engines), len(d.Cores))
+	}
+	d.wireEngines = engines
 	start := time.Now()
+	// On the wire the flight recorder timestamps events with wall time
+	// (the simulated calendar does not advance against real sockets).
 	if d.Opts.Trace != nil {
 		for _, ct := range d.Opts.Trace.Cores() {
 			ct.SetClock(func() float64 { return float64(time.Since(start)) })
 		}
 	}
+	// Overload observation runs against the wall clock; the cadence is
+	// the same dwell-derived fraction the simulated driver uses.
 	var obsEveryNS float64
 	if len(d.Ctls) > 0 {
 		obsEveryNS = d.Ctls[0].DwellNS() / 4
@@ -229,92 +143,106 @@ func (d *DUT) serveWireMulti(ctx context.Context, engines []Engine,
 	}
 	// The gate exists only for the exporter: every per-core counter,
 	// histogram, and tracker is single-writer state owned by its core's
-	// goroutine, so a mid-session snapshot must briefly quiesce the cores
+	// loop, so a mid-session snapshot must briefly quiesce the cores
 	// (writer side) while they step under the read side. Without an
 	// exporter the cores never touch it.
 	var gate sync.RWMutex
 	publish := d.Opts.Metrics != nil
 	var stop atomic.Bool
 	prog := make([]coreProgress, len(engines))
-	var wg sync.WaitGroup
-	for i := range engines {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			core, eng, p := d.Cores[ci], engines[ci], &prog[ci]
-			var nextObsNS float64
-			var obsPolls, obsEmpty uint64
-			for !stop.Load() {
-				if publish {
-					gate.RLock()
-				}
-				now := float64(time.Since(start))
-				if obsEveryNS > 0 && now >= nextObsNS {
-					nextObsNS = now + obsEveryNS
-					d.observeCore(eng, ci, now, &obsPolls, &obsEmpty)
-				}
-				moved := eng.Step(core, now)
-				if publish {
-					gate.RUnlock()
-				}
-				p.steps.Add(1)
-				if moved > 0 {
-					p.packets.Add(uint64(moved))
-					p.lastWork.Store(int64(now))
-				} else {
-					runtime.Gosched()
-				}
+	serve := func(ci int) {
+		core, eng, p := d.Cores[ci], engines[ci], &prog[ci]
+		var nextObsNS float64
+		var obsPolls, obsEmpty uint64
+		for !stop.Load() {
+			if publish {
+				gate.RLock()
 			}
-		}(i)
+			now := float64(time.Since(start))
+			if obsEveryNS > 0 && now >= nextObsNS {
+				nextObsNS = now + obsEveryNS
+				d.observeCore(eng, ci, now, &obsPolls, &obsEmpty)
+			}
+			moved := eng.Step(core, now)
+			if publish {
+				gate.RUnlock()
+			}
+			p.steps.Add(1)
+			if moved > 0 {
+				p.packets.Add(uint64(moved))
+				p.lastWork.Store(int64(now))
+			} else {
+				// An empty poll on a live wire should not spin a core
+				// flat out.
+				runtime.Gosched()
+			}
+		}
 	}
 
-	sum := func() (pkts uint64, lastWork time.Duration) {
-		for i := range prog {
-			pkts += prog[i].packets.Load()
-			if w := time.Duration(prog[i].lastWork.Load()); w > lastWork {
-				lastWork = w
-			}
-		}
-		return
+	var wg sync.WaitGroup
+	for ci := 1; ci < len(engines); ci++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			serve(ci)
+		}()
 	}
 	var err error
-	lastPublish := start
-	tick := time.NewTicker(time.Millisecond)
-watch:
-	for {
-		select {
-		case <-ctx.Done():
-			err = ctx.Err()
-			break watch
-		case <-tick.C:
-		}
-		pkts, lastWork := sum()
-		if maxPackets > 0 && pkts >= maxPackets {
-			break
-		}
-		if idleExit > 0 && time.Since(start)-lastWork > idleExit {
-			break
-		}
-		if publish && time.Since(lastPublish) >= metricsInterval {
-			lastPublish = time.Now()
-			gate.Lock()
-			d.publishMetrics(engines, time.Since(start))
-			gate.Unlock()
-		}
-	}
-	tick.Stop()
-	stop.Store(true)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer stop.Store(true)
+		err = d.coordinateWire(ctx, start, prog, idleExit, maxPackets, &gate)
+	}()
+	serve(0)
 	wg.Wait()
 	// Cores are joined: the drain and the final snapshot run
-	// single-threaded over quiescent state, exactly like the 1-core path.
+	// single-threaded over quiescent state, so a scrape after the
+	// session sees the totals, not a half-second-old view.
 	d.drainWire(engines, start)
-	d.publishMetrics(engines, time.Since(start))
+	d.publishMetrics(time.Since(start))
 	var st WireServeStats
 	for i := range prog {
 		st.Steps += prog[i].steps.Load()
 		st.Packets += prog[i].packets.Load()
 	}
 	return st, err
+}
+
+// coordinateWire watches a serving session until it should end: it
+// returns ctx's error on cancellation, nil once the cores have moved
+// maxPackets packets or have all been idle for idleExit. Meanwhile it
+// publishes exporter snapshots behind the gate's write side.
+func (d *DUT) coordinateWire(ctx context.Context, start time.Time, prog []coreProgress,
+	idleExit time.Duration, maxPackets uint64, gate *sync.RWMutex) error {
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	lastPublish := start
+	for {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-tick.C:
+		}
+		var pkts uint64
+		var lastWork time.Duration
+		for i := range prog {
+			pkts += prog[i].packets.Load()
+			lastWork = max(lastWork, time.Duration(prog[i].lastWork.Load()))
+		}
+		if maxPackets > 0 && pkts >= maxPackets {
+			return nil
+		}
+		if idleExit > 0 && time.Since(start)-lastWork > idleExit {
+			return nil
+		}
+		if d.Opts.Metrics != nil && time.Since(lastPublish) >= metricsInterval {
+			lastPublish = time.Now()
+			gate.Lock()
+			d.publishMetrics(time.Since(start))
+			gate.Unlock()
+		}
+	}
 }
 
 // drainWire steps the engines and reaps TX rings until nothing moves and
@@ -343,21 +271,11 @@ func (d *DUT) drainWire(engines []Engine, start time.Time) {
 	}
 }
 
-// ServeWireGraph builds routers for g on a single-core wire DUT and
-// serves: the one-call path cmd/packetmill's -io wire mode uses. The DUT
-// is returned so callers can audit buffers and read telemetry after the
-// session.
-func ServeWireGraph(ctx context.Context, g *click.Graph, o Options,
-	devs []nic.Port, idleExit time.Duration, maxPackets uint64) (*DUT, WireServeStats, error) {
-	if len(devs) == 0 {
-		return nil, WireServeStats{}, fmt.Errorf("testbed: wire DUT needs at least one device")
-	}
-	return ServeWireGraphPerCore(ctx, g, o, [][]nic.Port{devs}, idleExit, maxPackets)
-}
-
-// ServeWireGraphPerCore is ServeWireGraph for N run-to-completion cores:
-// one router replica per core, each driving that core's own devices
-// (devsPerCore[c][i] is core c's Click PORT i).
+// ServeWireGraphPerCore builds one router replica of g per core on a
+// wire DUT and serves, each core driving its own devices
+// (devsPerCore[c][i] is core c's Click PORT i): the one-call path
+// cmd/packetmill's -io wire mode uses. The DUT is returned so callers
+// can audit buffers and read the ledger and telemetry after the session.
 func ServeWireGraphPerCore(ctx context.Context, g *click.Graph, o Options,
 	devsPerCore [][]nic.Port, idleExit time.Duration, maxPackets uint64) (*DUT, WireServeStats, error) {
 	d, err := NewWireDUTPerCore(o, devsPerCore)

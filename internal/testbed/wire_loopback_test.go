@@ -151,8 +151,8 @@ func runWireLoopback(t *testing.T, model click.MetadataModel) {
 	defer cancel()
 	serveDone := make(chan error, 1)
 	go func() {
-		d, _, err := ServeWireGraph(ctx, plan.Graph,
-			Options{Model: model, Seed: 7}, []nic.Port{dut},
+		d, _, err := ServeWireGraphPerCore(ctx, plan.Graph,
+			Options{Model: model, Seed: 7}, [][]nic.Port{{dut}},
 			300*time.Millisecond, 0)
 		if err == nil {
 			err = d.Audit()

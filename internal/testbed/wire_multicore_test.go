@@ -13,23 +13,22 @@ import (
 	"packetmill/internal/nf"
 	"packetmill/internal/nic"
 	"packetmill/internal/pktbuf"
-	"packetmill/internal/stats"
 	"packetmill/internal/trace"
 	"packetmill/internal/wire"
 )
 
 // buildWireMirrorRig assembles an N-core wire DUT running the EtherMirror
-// forwarder, each core on its own loopback segment: gens[c] is the
-// generator-side port whose TX feeds core c and whose RX captures core
-// c's output.
-func buildWireMirrorRig(t testing.TB, cores int, o Options) (*DUT, []*clickEngine, []*wire.Port) {
+// forwarder, each core on its own loopback segment whose DUT-side TX
+// ring holds txRing frames: gens[c] is the generator-side port whose TX
+// feeds core c and whose RX captures core c's output.
+func buildWireMirrorRig(t testing.TB, cores, txRing int, o Options) (*DUT, []*clickEngine, []*wire.Port) {
 	t.Helper()
 	gens := make([]*wire.Port, cores)
 	devsPerCore := make([][]nic.Port, cores)
 	for c := 0; c < cores; c++ {
 		gen, dut, err := wire.Loopback(
 			wire.Config{Name: fmt.Sprintf("gen%d", c), RXRing: 512, TXRing: 512},
-			wire.Config{Name: fmt.Sprintf("wire%d", c), Queue: c, RXRing: 512, TXRing: 512})
+			wire.Config{Name: fmt.Sprintf("wire%d", c), Queue: c, RXRing: 512, TXRing: txRing})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +63,7 @@ func buildWireMirrorRig(t testing.TB, cores int, o Options) (*DUT, []*clickEngin
 // attribute (almost) every busy cycle, per core and aggregated.
 func TestWireMulticoreConservation(t *testing.T) {
 	const cores, nFrames = 2, 300
-	d, engs, gens := buildWireMirrorRig(t, cores, Options{
+	d, engs, gens := buildWireMirrorRig(t, cores, 512, Options{
 		Model: click.XChange, Seed: 7, Telemetry: true,
 	})
 	engines := make([]Engine, len(engs))
@@ -159,7 +158,7 @@ func TestWireMulticoreConservation(t *testing.T) {
 		// above), so they are not lost frames and stay out of the ledger.
 		drops := rxs.DropFull + rxs.DropNoBuf + rxs.DropRunt +
 			port.Drops.Total() + engs[c].DropStats().Total()
-		accounted := txs.Sent + txs.DropTransient + txs.DropOversize + drops
+		accounted := txs.Sent + txs.DropTransient + txs.DropOversize + txs.DropError + drops
 		if accounted != offered {
 			t.Fatalf("core %d conservation: offered %d != tx %d + drops %d (tx stats %+v)",
 				c, offered, txs.Sent, accounted-txs.Sent, txs)
@@ -180,7 +179,7 @@ func TestWireMulticoreConservation(t *testing.T) {
 	}
 
 	// Attribution self-check, per core and summed across trackers.
-	rep := d.buildReport(&Result{}, stats.NewLatencyRecorder(1), trace.NewHist(), nil)
+	rep := d.buildReport(&Result{}, nil, trace.NewHist(), nil)
 	if rep.Attribution.CoreBusyCycles == 0 {
 		t.Fatal("no busy cycles recorded")
 	}
@@ -204,7 +203,7 @@ func TestWireMulticoreConservation(t *testing.T) {
 // uses.
 func TestWireMulticoreZeroAllocs(t *testing.T) {
 	const cores = 2
-	d, engs, gens := buildWireMirrorRig(t, cores, Options{Model: click.XChange, Seed: 7})
+	d, engs, gens := buildWireMirrorRig(t, cores, 512, Options{Model: click.XChange, Seed: 7})
 	frames := campusFrames(256)
 	txs := make([]*pktbuf.Packet, cores)
 	for c := 0; c < cores; c++ {

@@ -550,11 +550,13 @@ func (p *Port) Flush() {
 			// A transient errno that survived the retries is the kernel
 			// buffer overrunning; a hard error is the peer overrun or
 			// gone. Distinct counters so dashboards can tell congestion
-			// from breakage. Either way the buffer cycles back via Reap.
+			// from breakage, and neither shares DropFull, which counts
+			// refusals, not losses. Either way the buffer cycles back via
+			// Reap.
 			if isTransient(err) {
 				p.txStats.DropTransient++
 			} else {
-				p.txStats.DropFull++
+				p.txStats.DropError++
 			}
 			p.inflight.push(txRec{pkt: batch[off], departWall: now})
 			p.txPending--
@@ -603,6 +605,14 @@ func (p *Port) InflightCount() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.inflight.n + p.txPending
+}
+
+// HeldCount implements nic.Port. Pending frames wait in the port's own
+// slots and take a buffer only at Poll, so they hold none.
+func (p *Port) HeldCount() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.posted.n + p.inflight.n + p.txPending
 }
 
 // RXStats implements nic.Port.

@@ -196,7 +196,7 @@ func TestPortConcurrentStress(t *testing.T) {
 		t.Fatalf("buffer conservation violated: %d accepted, %d reaped (leaked %d)", a, r, int64(a)-int64(r))
 	}
 	s := p.TXStats()
-	if got, want := s.Sent+s.DropTransient+s.DropOversize+s.DropFull, accepted.Load()+refused.Load(); got != want {
+	if got, want := s.Sent+s.DropTransient+s.DropOversize+s.DropError+s.DropFull, accepted.Load()+refused.Load(); got != want {
 		t.Fatalf("TX ledger %+v sums to %d, want %d (accepted %d + refused %d)",
 			s, got, want, accepted.Load(), refused.Load())
 	}
